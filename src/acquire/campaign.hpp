@@ -74,22 +74,22 @@ struct CampaignConfig {
 /// Throws only under FailurePolicy::Abort (or on invalid configuration).
 Dataset run_campaign(const sim::Engine& engine, const CampaignConfig& config);
 
-/// Ingestion knobs for ingest_trace_files: besides the batch-campaign
-/// parallel/merge switches this carries the zero-copy controls —
-/// `mmap = true` serves v4 trace files straight out of read-only memory
-/// mappings (v2/v3 fall back to the buffered reader transparently), and
-/// `verify_checksum = false` defers the integrity pass on the mapped path
-/// for latency-critical re-reads of known-good files.
+/// Ingestion knobs for ingest_trace_files — the two per-file read controls
+/// of trace::profile_trace_files: `mmap = true` serves v4 trace files
+/// straight out of read-only memory mappings (archived v2/v3 files fall back
+/// to the buffered reader transparently), and `verify_checksum = false`
+/// defers the integrity pass on the mapped path for latency-critical
+/// re-reads of known-good files.
 using IngestOptions = trace::ProfileCampaignOptions;
 
 /// Post-processing without re-acquisition: reduce already-recorded trace
 /// files to a regression Dataset in one call. Every file is read and phase-
-/// profiled (OpenMP-parallel across files per `options`, zero-copy when
-/// `options.mmap` is set), same-key profiles are merged across runs, rows
-/// are sanitized, and the sanitize report lands in the Dataset's
-/// DataQuality. The result is bit-identical to a serial read/profile/merge
-/// loop over the same paths — mapped or buffered. Suites are resolved from
-/// the workload registry (unknown workload names default to Suite::Roco2).
+/// profiled (OpenMP-parallel across files, zero-copy when `options.mmap` is
+/// set), same-key profiles are merged across runs, rows are sanitized, and
+/// the sanitize report lands in the Dataset's DataQuality. The result is
+/// bit-identical to a serial read/profile/merge loop over the same paths —
+/// mapped or buffered. Suites are resolved from the workload registry
+/// (unknown workload names default to Suite::Roco2).
 Dataset ingest_trace_files(const std::vector<std::string>& paths,
                            IngestOptions options = {});
 

@@ -1,7 +1,10 @@
 #include "common/strings.hpp"
 
+#include <charconv>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <system_error>
 
 namespace pwx {
 
@@ -56,6 +59,30 @@ std::string format_double(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, value);
   return buf;
+}
+
+namespace {
+
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
+std::optional<double> parse_double(std::string_view text) {
+  const std::optional<double> value = parse_whole<double>(text);
+  return value && std::isfinite(*value) ? value : std::nullopt;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  return parse_whole<std::uint64_t>(text);
 }
 
 }  // namespace pwx

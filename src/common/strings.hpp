@@ -1,6 +1,8 @@
 // Small string utilities shared across modules.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,5 +26,11 @@ std::string to_lower(std::string_view text);
 
 /// printf-style double formatting with fixed precision, locale-independent.
 std::string format_double(double value, int precision);
+
+/// Parse all of `text` as a finite double / an unsigned decimal integer.
+/// Empty input, trailing characters and out-of-range values give nullopt —
+/// the strict counterpart of strtod/strtoull for command-line values.
+std::optional<double> parse_double(std::string_view text);
+std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 }  // namespace pwx

@@ -159,7 +159,6 @@ MetricsSnapshot MetricsSnapshot::filtered(std::string_view prefix) const {
 MetricRegistry::Entry& MetricRegistry::entry(std::string_view name, MetricKind kind,
                                              std::string_view help) {
   PWX_REQUIRE(!name.empty(), "metric name must not be empty");
-  const std::lock_guard<std::mutex> lock(mutex_);
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     Entry fresh;
@@ -178,6 +177,7 @@ MetricRegistry::Entry& MetricRegistry::entry(std::string_view name, MetricKind k
 }
 
 Counter& MetricRegistry::counter(std::string_view name, std::string_view help) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(name, MetricKind::Counter, help);
   if (!e.counter) {
     e.counter = std::make_unique<Counter>();
@@ -186,6 +186,7 @@ Counter& MetricRegistry::counter(std::string_view name, std::string_view help) {
 }
 
 Gauge& MetricRegistry::gauge(std::string_view name, std::string_view help) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(name, MetricKind::Gauge, help);
   if (!e.gauge) {
     e.gauge = std::make_unique<Gauge>();
@@ -196,6 +197,7 @@ Gauge& MetricRegistry::gauge(std::string_view name, std::string_view help) {
 Histogram& MetricRegistry::histogram(std::string_view name,
                                      std::vector<double> bounds,
                                      std::string_view help) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(name, MetricKind::Histogram, help);
   if (!e.histogram) {
     e.histogram = std::make_unique<Histogram>(std::move(bounds));

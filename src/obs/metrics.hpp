@@ -198,6 +198,9 @@ private:
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// Find or insert `name`'s entry. The caller holds mutex_ across this
+  /// lookup and the instance creation after it; otherwise two first callers
+  /// could each create an instance and get different handles for one name.
   Entry& entry(std::string_view name, MetricKind kind, std::string_view help);
 
   mutable std::mutex mutex_;

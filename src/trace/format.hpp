@@ -1,9 +1,10 @@
 // On-disk format internals shared by the OTF2-lite readers and writers.
 //
 // Three generations share the magic/body/footer frame (8-byte magic, body,
-// u64 FNV-1a footer over the body):
+// u64 FNV-1a footer over the body). Only v4 is written; v3 and v2 are read
+// for archived traces.
 //
-//   v4 ("OTF2LTv4", current) — the alignment-safe section-table format the
+//   v4 ("OTF2LTv4", written) — the alignment-safe section-table format the
 //   zero-copy reader maps in place. The fixed-size header (section count +
 //   four 16-byte table entries) is 72 bytes, so with the 8-byte magic the
 //   first section starts at file offset 80; every section is zero-padded to
@@ -15,10 +16,11 @@
 //   sections made column offsets effectively never 8-aligned, so aliasing
 //   them as typed arrays would be undefined behavior.
 //
-//   v3 ("OTF2LTv3") — unpadded section table; still written via
-//   write_trace_v3 and read transparently (buffered only).
+//   v3 ("OTF2LTv3", read-only) — unpadded section table; read
+//   transparently (buffered only).
 //
-//   v2 ("OTF2LTv2") — per-record stream with a byte-wise FNV footer.
+//   v2 ("OTF2LTv2", read-only) — per-record stream with a byte-wise FNV
+//   footer.
 //
 // parse_trace_v4 is the one structural validator for v4: the buffered
 // reader (serialize.cpp) and the mapped reader (mapped.cpp) both call it,

@@ -10,9 +10,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
-#include "trace/mapped.hpp"
-#include "trace/serialize.hpp"
 
 namespace pwx::trace {
 
@@ -99,18 +96,10 @@ bool IncrementalCampaign::poll() {
     state.size = seen.size;
     state.mtime_ns = seen.mtime;
     try {
-      PWX_SPAN("ingest.file");
-      obs::span_attr("path", path);
-      if (options_.campaign.mmap) {
-        const MappedTraceFile file = MappedTraceFile::open(
-            path, {.verify_checksum = options_.campaign.verify_checksum});
-        state.profiles = build_phase_profiles(file.view());
-        bytes_mapped += file.bytes_mapped();
-        bytes_copied += file.bytes_copied();
-      } else {
-        state.profiles = build_phase_profiles(read_trace_file(path));
-        bytes_copied += seen.size;
-      }
+      TraceFileProfiles ingest = profile_trace_file(path, options_.campaign);
+      state.profiles = std::move(ingest.profiles);
+      bytes_mapped += ingest.bytes_mapped;
+      bytes_copied += ingest.bytes_copied;
       ingested += 1;
     } catch (const Error& e) {
       state.failed = true;

@@ -12,12 +12,16 @@
 // start scanning immediately.
 //
 // Inputs the zero-copy path cannot serve fall back transparently to the
-// buffered reader: v2/v3 files (their layouts are not alignment-safe), and
-// files mmap itself refuses (non-regular files, filesystems without mmap
-// support). The fallback materializes an owned Trace and adapts it to the
-// same TraceView type, so consumers never branch on how the bytes arrived —
+// buffered reader: archived v2/v3 files (read-only formats whose layouts are
+// not alignment-safe; the library writes only v4), and files mmap itself
+// refuses (non-regular files, filesystems without mmap support). The
+// fallback materializes an owned Trace and adapts it to the same TraceView
+// type, so consumers never branch on how the bytes arrived —
 // and because both paths share one parser, hostile input is rejected with
-// the identical IoError either way.
+// the identical IoError either way. Campaigns reach this reader through
+// profile_trace_file (trace/profile_campaign.hpp) when
+// ProfileCampaignOptions::mmap is set; its verify_checksum maps onto
+// MapOptions::verify_checksum.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,10 @@
 #include "trace/profile_campaign.hpp"
 
+#include <cstdint>
 #include <cstring>
 #include <exception>
+#include <filesystem>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 
@@ -35,58 +38,61 @@ std::string merge_key(const PhaseProfile& profile) {
 
 }  // namespace
 
-std::vector<PhaseProfile> ProfileCampaign::run() const {
+TraceFileProfiles profile_trace_file(const std::string& path,
+                                     const ProfileCampaignOptions& options) {
+  // One root span per file: on OpenMP workers each lands in that thread's
+  // ring, so a traced campaign shows the real parallel shape.
+  PWX_SPAN("ingest.file");
+  obs::span_attr("path", path);
+  TraceFileProfiles out;
+  if (options.mmap) {
+    const MappedTraceFile file =
+        MappedTraceFile::open(path, {.verify_checksum = options.verify_checksum});
+    out.profiles = build_phase_profiles(file.view());
+    out.bytes_mapped = file.bytes_mapped();
+    out.bytes_copied = file.bytes_copied();
+  } else {
+    out.profiles = build_phase_profiles(read_trace_file(path));
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    out.bytes_copied = ec ? 0 : static_cast<std::size_t>(size);
+  }
+  return out;
+}
+
+std::vector<PhaseProfile> profile_trace_files(const std::vector<std::string>& paths,
+                                              ProfileCampaignOptions options) {
   // Stage 1: read + profile each file independently. Results land in their
   // input slot, so the aggregation below never depends on scheduling.
-  std::vector<std::vector<PhaseProfile>> per_file(paths_.size());
-  std::vector<std::exception_ptr> failures(paths_.size());
+  std::vector<std::vector<PhaseProfile>> per_file(paths.size());
+  std::vector<std::exception_ptr> failures(paths.size());
 
-  const bool parallel = options_.parallel && paths_.size() > 1;
-#pragma omp parallel for schedule(dynamic) if (parallel)
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
+#pragma omp parallel for schedule(dynamic) if (paths.size() > 1)
+  for (std::size_t i = 0; i < paths.size(); ++i) {
     // Exceptions must not escape the OpenMP region; they are captured per
     // slot and rethrown deterministically afterwards.
     try {
-      // One root span per file: on OpenMP workers each lands in that
-      // thread's ring, so a traced campaign shows the real parallel shape.
-      PWX_SPAN("ingest.file");
-      obs::span_attr("path", paths_[i]);
-      if (options_.mmap) {
-        const MappedTraceFile file =
-            MappedTraceFile::open(paths_[i], {.verify_checksum = options_.verify_checksum});
-        per_file[i] = build_phase_profiles(file.view());
-      } else {
-        per_file[i] = build_phase_profiles(read_trace_file(paths_[i]));
-      }
+      per_file[i] = profile_trace_file(paths[i], options).profiles;
     } catch (...) {
       failures[i] = std::current_exception();
     }
   }
 
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
+  for (std::size_t i = 0; i < paths.size(); ++i) {
     if (!failures[i]) {
       continue;
     }
     try {
       std::rethrow_exception(failures[i]);
     } catch (const IoError& e) {
-      throw e.with_context("trace campaign: '" + paths_[i] + "'");
+      throw e.with_context("trace campaign: '" + paths[i] + "'");
     } catch (const Error& e) {
-      throw e.with_context("trace campaign: '" + paths_[i] + "'");
+      throw e.with_context("trace campaign: '" + paths[i] + "'");
     }
   }
 
   // Stage 2: deterministic ordered merge. Keys appear in the output in the
-  // order they first occur walking files in add order.
-  if (!options_.merge) {
-    std::vector<PhaseProfile> out;
-    for (auto& profiles : per_file) {
-      for (auto& profile : profiles) {
-        out.push_back(std::move(profile));
-      }
-    }
-    return out;
-  }
+  // order they first occur walking files in input order.
   return merge_first_appearance(std::move(per_file));
 }
 
@@ -112,13 +118,6 @@ std::vector<PhaseProfile> merge_first_appearance(
     out.push_back(merge_profiles(group));
   }
   return out;
-}
-
-std::vector<PhaseProfile> profile_trace_files(const std::vector<std::string>& paths,
-                                              ProfileCampaignOptions options) {
-  ProfileCampaign campaign(options);
-  campaign.add_files(paths);
-  return campaign.run();
 }
 
 }  // namespace pwx::trace

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "trace/format.hpp"
@@ -32,36 +31,9 @@ using format::kSectionMetrics;
 using format::kSectionRegions;
 using format::pad8;
 
-void put_u8(std::ostream& out, std::uint8_t v) {
-  out.put(static_cast<char>(v));
-}
-
-void put_u32(std::ostream& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.write(buf, 4);
-}
-
-void put_u64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
-}
-
-void put_f64(std::ostream& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
-}
-
-void put_string(std::ostream& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
 /// Attribute pairs sorted by key: the attribute map itself is unordered,
-/// but all formats serialize attributes in sorted order so identical
-/// traces always produce identical bytes.
+/// but the writer serializes attributes in sorted order so identical traces
+/// always produce identical bytes.
 std::vector<std::pair<const std::string*, const std::string*>> sorted_attributes(
     const Trace& trace) {
   std::vector<std::pair<const std::string*, const std::string*>> attrs;
@@ -72,6 +44,38 @@ std::vector<std::pair<const std::string*, const std::string*>> sorted_attributes
   std::sort(attrs.begin(), attrs.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
   return attrs;
+}
+
+void append_u8(std::string& out, std::uint8_t v) {
+  out.push_back(static_cast<char>(v));
+}
+
+void append_u32(std::string& out, std::uint32_t v) {
+  char buf[4];
+  std::memcpy(buf, &v, 4);
+  out.append(buf, 4);
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[8];
+  std::memcpy(buf, &v, 8);
+  out.append(buf, 8);
+}
+
+void append_string(std::string& out, const std::string& s) {
+  append_u32(out, static_cast<std::uint32_t>(s.size()));
+  out.append(s);
+}
+
+template <typename T>
+void append_array(std::string& out, const std::vector<T>& values) {
+  out.append(reinterpret_cast<const char*>(values.data()),
+             values.size() * sizeof(T));
+}
+
+/// Zero-pad `out` so the current section ends on an 8-byte boundary.
+void append_padding(std::string& out, std::size_t content_bytes) {
+  out.append(pad8(content_bytes) - content_bytes, '\0');
 }
 
 enum : std::uint8_t { kRegionEnter = 1, kRegionExit = 2, kMetric = 3 };
@@ -87,7 +91,6 @@ public:
 
   void begin_record(std::uint64_t index) { record_ = static_cast<std::int64_t>(index); }
   std::uint64_t checksum() const { return checksum_; }
-  std::int64_t offset() const { return static_cast<std::int64_t>(offset_); }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw IoError("trace: " + what + " (byte " + std::to_string(offset_) +
@@ -168,86 +171,6 @@ private:
 
 // ------------------------------------------------------------------ writers
 
-void write_trace_v2(const Trace& trace, std::ostream& out) {
-  // Serialize the body to memory first so the checksum can be computed over
-  // exactly the bytes written.
-  std::ostringstream body;
-
-  const auto attrs = sorted_attributes(trace);
-  put_u32(body, static_cast<std::uint32_t>(attrs.size()));
-  for (const auto& [key, value] : attrs) {
-    put_string(body, *key);
-    put_string(body, *value);
-  }
-
-  put_u32(body, static_cast<std::uint32_t>(trace.metrics().size()));
-  for (const MetricDefinition& metric : trace.metrics()) {
-    put_string(body, metric.name);
-    put_string(body, metric.unit);
-    put_u8(body, static_cast<std::uint8_t>(metric.mode));
-  }
-
-  const EventColumns& columns = trace.columns();
-  put_u64(body, columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    put_u8(body, columns.kinds[i]);
-    put_u64(body, columns.times[i]);
-    if (static_cast<EventKind>(columns.kinds[i]) == EventKind::Metric) {
-      put_u32(body, columns.ids[i]);
-      put_f64(body, columns.values[i]);
-    } else {
-      put_string(body, columns.regions.at(columns.ids[i]));
-    }
-  }
-
-  const std::string bytes = body.str();
-  std::uint64_t checksum = kFnvOffset;
-  fnv1a_update(checksum, bytes.data(), bytes.size());
-
-  out.write(kMagicV2, sizeof kMagicV2);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  put_u64(out, checksum);
-  if (!out) {
-    throw IoError("trace: write failed");
-  }
-}
-
-namespace {
-
-void append_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void append_string(std::string& out, const std::string& s) {
-  append_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-template <typename T>
-void append_array(std::string& out, const std::vector<T>& values) {
-  out.append(reinterpret_cast<const char*>(values.data()),
-             values.size() * sizeof(T));
-}
-
-/// Zero-pad `out` so the current section ends on an 8-byte boundary.
-void append_padding(std::string& out, std::size_t content_bytes) {
-  out.append(pad8(content_bytes) - content_bytes, '\0');
-}
-
-}  // namespace
-
 void write_trace(const Trace& trace, std::ostream& out) {
   const EventColumns& columns = trace.columns();
   const auto attrs = sorted_attributes(trace);
@@ -271,7 +194,7 @@ void write_trace(const Trace& trace, std::ostream& out) {
 
   std::string body;
   body.reserve(kHeaderBytesV4 + pad8(attr_bytes) + pad8(metric_bytes) +
-               pad8(region_bytes) + pad8(event_bytes));
+               pad8(region_bytes) + pad8(event_bytes) + 8);
 
   append_u32(body, kSectionCount);
   append_u32(body, 0);  // reserved
@@ -316,78 +239,10 @@ void write_trace(const Trace& trace, std::ostream& out) {
   append_array(body, columns.ids);
   append_array(body, columns.kinds);
   append_padding(body, event_bytes);
+  append_u64(body, fnv1a_lanes(body.data(), body.size()));  // checksum footer
 
   out.write(kMagicV4, sizeof kMagicV4);
   out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  put_u64(out, fnv1a_lanes(body.data(), body.size()));
-  if (!out) {
-    throw IoError("trace: write failed");
-  }
-}
-
-void write_trace_v3(const Trace& trace, std::ostream& out) {
-  const EventColumns& columns = trace.columns();
-  const auto attrs = sorted_attributes(trace);
-
-  // Exact section sizes up front, so the body is one preallocated buffer
-  // filled by bulk appends.
-  std::size_t attr_bytes = 4;
-  for (const auto& [key, value] : attrs) {
-    attr_bytes += 8 + key->size() + value->size();
-  }
-  std::size_t metric_bytes = 4;
-  for (const MetricDefinition& metric : trace.metrics()) {
-    metric_bytes += 9 + metric.name.size() + metric.unit.size();
-  }
-  std::size_t region_bytes = 4;
-  for (const std::string& region : columns.regions.names()) {
-    region_bytes += 4 + region.size();
-  }
-  const std::size_t event_bytes = 8 + columns.size() * kEventBytes;
-
-  std::string body;
-  body.reserve(kHeaderBytesV3 + attr_bytes + metric_bytes + region_bytes +
-               event_bytes);
-
-  append_u32(body, kSectionCount);
-  const std::pair<std::uint32_t, std::size_t> table[kSectionCount] = {
-      {kSectionAttributes, attr_bytes},
-      {kSectionMetrics, metric_bytes},
-      {kSectionRegions, region_bytes},
-      {kSectionEvents, event_bytes},
-  };
-  for (const auto& [id, size] : table) {
-    append_u32(body, id);
-    append_u64(body, size);
-  }
-
-  append_u32(body, static_cast<std::uint32_t>(attrs.size()));
-  for (const auto& [key, value] : attrs) {
-    append_string(body, *key);
-    append_string(body, *value);
-  }
-
-  append_u32(body, static_cast<std::uint32_t>(trace.metrics().size()));
-  for (const MetricDefinition& metric : trace.metrics()) {
-    append_string(body, metric.name);
-    append_string(body, metric.unit);
-    append_u8(body, static_cast<std::uint8_t>(metric.mode));
-  }
-
-  append_u32(body, static_cast<std::uint32_t>(columns.regions.size()));
-  for (const std::string& region : columns.regions.names()) {
-    append_string(body, region);
-  }
-
-  append_u64(body, columns.size());
-  append_array(body, columns.times);
-  append_array(body, columns.kinds);
-  append_array(body, columns.ids);
-  append_array(body, columns.values);
-
-  out.write(kMagicV3, sizeof kMagicV3);
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  put_u64(out, fnv1a_lanes(body.data(), body.size()));
   if (!out) {
     throw IoError("trace: write failed");
   }
@@ -564,12 +419,9 @@ std::vector<T> read_column(BufReader& reader, std::size_t count) {
   return out;
 }
 
+/// The v3 and v4 body readers take the body plus its 8-byte footer;
+/// read_trace has already checked that the footer is there.
 Trace read_body_v3(const std::string& buffer) {
-  if (buffer.size() < 8) {
-    throw IoError("trace: truncated before checksum footer (byte " +
-                      std::to_string(buffer.size() + kMagicBytes) + ", record -1)",
-                  static_cast<std::int64_t>(buffer.size() + kMagicBytes), -1);
-  }
   const std::size_t body_size = buffer.size() - 8;
   BufReader reader(buffer.data(), body_size);
 
@@ -718,11 +570,6 @@ Trace read_body_v3(const std::string& buffer) {
 }
 
 Trace read_body_v4(const std::string& buffer) {
-  if (buffer.size() < 8) {
-    throw IoError("trace: truncated before checksum footer (byte " +
-                      std::to_string(buffer.size() + kMagicBytes) + ", record -1)",
-                  static_cast<std::int64_t>(buffer.size() + kMagicBytes), -1);
-  }
   const std::size_t body_size = buffer.size() - 8;
   // Structure first (precise positions), integrity last — the same parser
   // and checksum pass the mapped reader uses, so both reject identically.
@@ -738,21 +585,16 @@ Trace read_trace(std::istream& in) {
   if (!in.read(magic, sizeof magic)) {
     throw IoError("trace: bad magic (not an OTF2-lite file)", 0, -1);
   }
-  if (std::memcmp(magic, kMagicV4, sizeof magic) == 0) {
+  const bool v4 = std::memcmp(magic, kMagicV4, sizeof magic) == 0;
+  if (v4 || std::memcmp(magic, kMagicV3, sizeof magic) == 0) {
     const std::string buffer = read_remaining(in);
-    try {
-      return read_body_v4(buffer);
-    } catch (const IoError&) {
-      throw;
-    } catch (const Error& e) {
-      throw IoError(std::string("trace: invalid record: ") + e.what(),
-                    static_cast<std::int64_t>(sizeof magic), -1);
+    if (buffer.size() < 8) {
+      throw IoError("trace: truncated before checksum footer (byte " +
+                        std::to_string(buffer.size() + kMagicBytes) + ", record -1)",
+                    static_cast<std::int64_t>(buffer.size() + kMagicBytes), -1);
     }
-  }
-  if (std::memcmp(magic, kMagicV3, sizeof magic) == 0) {
-    const std::string buffer = read_remaining(in);
     try {
-      return read_body_v3(buffer);
+      return v4 ? read_body_v4(buffer) : read_body_v3(buffer);
     } catch (const IoError&) {
       throw;
     } catch (const Error& e) {

@@ -1,24 +1,22 @@
 // Binary serialization of OTF2-lite traces.
 //
-// Three on-disk generations share one reader entry point:
+// The library writes one format and reads three generations through one
+// entry point:
 //
-//   v4 ("OTF2LTv4", current writer) — the alignment-safe section-table
-//   format (see trace/format.hpp for the exact layout). Sections are
-//   zero-padded to 8-byte multiples and the event columns are ordered
-//   widest-first (times, values, ids, kinds), so every column sits on an
-//   8-byte boundary. That lets the zero-copy reader (trace/mapped.hpp)
-//   alias the columns in place inside a memory mapping; this buffered
-//   reader and the mapped one share a single parser, so they accept and
-//   reject files identically. The body is covered by a lane-FNV-1a
-//   checksum footer.
+//   v4 ("OTF2LTv4", the only format written) — the alignment-safe
+//   section-table format (see trace/format.hpp for the exact layout).
+//   Sections are zero-padded to 8-byte multiples and the event columns are
+//   ordered widest-first (times, values, ids, kinds), so every column sits
+//   on an 8-byte boundary. That lets the zero-copy reader
+//   (trace/mapped.hpp) alias the columns in place inside a memory mapping;
+//   this buffered reader and the mapped one share a single parser, so they
+//   accept and reject files identically. The body is covered by a
+//   lane-FNV-1a checksum footer.
 //
-//   v3 ("OTF2LTv3") — the unpadded section-table format. Still written by
-//   write_trace_v3() for compatibility tooling and read transparently, so
-//   archived traces stay readable.
-//
-//   v2 ("OTF2LTv2", legacy) — per-record little-endian stream with a
-//   byte-wise FNV-1a footer; write_trace_v2() keeps producing the legacy
-//   bytes for compatibility tooling and tests.
+//   v3 ("OTF2LTv3") and v2 ("OTF2LTv2") — read-only, so archived traces
+//   stay readable. v3 is the unpadded section-table format; v2 is the
+//   per-record stream with a byte-wise FNV-1a footer. Golden byte fixtures
+//   (tests/trace_goldens.hpp) pin both readers.
 //
 // All readers fully validate structure AND integrity, so any truncation
 // or bit flip — including ones inside numeric payloads that would parse
@@ -36,14 +34,6 @@ namespace pwx::trace {
 /// Throws pwx::IoError on failure.
 void write_trace(const Trace& trace, std::ostream& out);
 void write_trace_file(const Trace& trace, const std::string& path);
-
-/// Serialize in the v3 unpadded section-table format (compatibility writer
-/// for archival tooling and read-compat tests).
-void write_trace_v3(const Trace& trace, std::ostream& out);
-
-/// Serialize in the legacy v2 per-record format (compatibility writer for
-/// archival tooling and read-compat tests).
-void write_trace_v2(const Trace& trace, std::ostream& out);
 
 /// Deserialize v4, v3, or v2 bytes; throws pwx::IoError on malformed,
 /// truncated, or corrupted input. The error carries the byte offset and

@@ -228,6 +228,19 @@ TEST(Strings, FormatDoublePrecision) {
   EXPECT_EQ(format_double(-0.5, 3), "-0.500");
 }
 
+TEST(Strings, ParseNumbersStrictly) {
+  EXPECT_EQ(parse_double("0.25"), 0.25);
+  EXPECT_EQ(parse_double("-1e3"), -1000.0);
+  EXPECT_EQ(parse_u64("200000"), 200000u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "1.5s", " 1", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(parse_double(bad).has_value()) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "abc", "12x", "-1", "1.5", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 // ---------------------------------------------------------------- csv
 
 TEST(Csv, PlainFieldsUnquoted) {

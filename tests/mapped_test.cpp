@@ -35,6 +35,7 @@
 #include "trace/serialize.hpp"
 #include "trace/trace.hpp"
 #include "trace/view.hpp"
+#include "trace_goldens.hpp"
 #include "workloads/registry.hpp"
 
 namespace pwx::trace {
@@ -52,26 +53,6 @@ std::string write_bytes(const std::string& name, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return path;
-}
-
-Trace make_small_trace() {
-  Trace t;
-  t.set_attribute("workload", "unit");
-  t.set_attribute("frequency_ghz", 2.4);
-  t.set_attribute("threads", 4.0);
-  const auto power = t.define_metric({"power", "W", MetricMode::AsyncAverage});
-  const auto volt = t.define_metric({"core_voltage", "V", MetricMode::AsyncInstant});
-  const auto ctr =
-      t.define_metric({"PAPI_TOT_CYC", "events", MetricMode::CounterIncrement});
-  t.append(RegionEnter{0, "phase_a"});
-  t.append(MetricEvent{1000000000, power, 100.0});
-  t.append(MetricEvent{1000000000, volt, 0.9});
-  t.append(MetricEvent{1000000000, ctr, 5.0e9});
-  t.append(MetricEvent{2000000000, power, 110.0});
-  t.append(MetricEvent{2000000000, volt, 0.9});
-  t.append(MetricEvent{2000000000, ctr, 5.2e9});
-  t.append(RegionExit{2000000000, "phase_a"});
-  return t;
 }
 
 std::string v4_bytes(const Trace& t) {
@@ -200,33 +181,29 @@ TEST(MappedTrace, ViewSurvivesMove) {
 }
 
 TEST(MappedTrace, V3FallsBackToBufferedWithIdenticalProfiles) {
-  const Trace t = sim_trace("md", 11);
-  std::ostringstream os;
-  write_trace_v3(t, os);
-  const std::string path = write_bytes("fallback_v3.otf2l", os.str());
+  const std::string path = write_bytes("fallback_v3.otf2l", golden_bytes(kGoldenV3));
 
   const MappedTraceFile file = MappedTraceFile::open(path);
   EXPECT_FALSE(file.mapped());
   EXPECT_EQ(file.format_version(), 3);
   EXPECT_TRUE(file.checksum_verified());
   EXPECT_EQ(file.bytes_mapped(), 0u);
-  EXPECT_EQ(file.bytes_copied(), os.str().size());
+  EXPECT_EQ(file.bytes_copied(), sizeof kGoldenV3);
   EXPECT_TRUE(file.sections().empty());
   expect_profiles_bit_identical(build_phase_profiles(file.view()),
-                                build_phase_profiles(t));
+                                build_phase_profiles(make_small_trace()));
 }
 
 TEST(MappedTrace, V2FallsBackToBufferedWithIdenticalProfiles) {
-  const Trace t = sim_trace("compute", 12);
-  std::ostringstream os;
-  write_trace_v2(t, os);
-  const std::string path = write_bytes("fallback_v2.otf2l", os.str());
+  const std::string path = write_bytes("fallback_v2.otf2l", golden_bytes(kGoldenV2));
 
   const MappedTraceFile file = MappedTraceFile::open(path);
   EXPECT_FALSE(file.mapped());
   EXPECT_EQ(file.format_version(), 2);
+  EXPECT_EQ(file.bytes_mapped(), 0u);
+  EXPECT_EQ(file.bytes_copied(), sizeof kGoldenV2);
   expect_profiles_bit_identical(build_phase_profiles(file.view()),
-                                build_phase_profiles(t));
+                                build_phase_profiles(make_small_trace()));
 }
 
 TEST(MappedTrace, DeferredChecksumVerifiesOnDemand) {
@@ -293,9 +270,18 @@ TEST(MappedEquivalence, EventColumnsBitIdentical) {
             0);
 }
 
-// Campaign merges must match across thread counts and OpenMP on/off, mapped
+/// The plain serial read/profile/merge loop every campaign must match.
+std::vector<PhaseProfile> serial_batch(const std::vector<std::string>& paths) {
+  std::vector<std::vector<PhaseProfile>> per_file;
+  for (const std::string& path : paths) {
+    per_file.push_back(build_phase_profiles(read_trace_file(path)));
+  }
+  return merge_first_appearance(std::move(per_file));
+}
+
+// Campaign merges must match the serial loop across thread counts, mapped
 // vs buffered — the determinism contract the batch engine already makes,
-// now extended over the ingestion mode.
+// extended over the ingestion mode.
 TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
   std::vector<std::string> paths;
   const char* names[] = {"md", "md", "compute", "compute", "matmul", "matmul"};
@@ -308,9 +294,7 @@ TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
         write_bytes("campaign_" + std::to_string(i) + ".otf2l", v4_bytes(t)));
   }
 
-  ProfileCampaignOptions serial;
-  serial.parallel = false;
-  const auto reference = profile_trace_files(paths, serial);
+  const auto reference = serial_batch(paths);
 
 #ifdef _OPENMP
   const int saved_threads = omp_get_max_threads();
@@ -321,14 +305,10 @@ TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
 #else
     (void)threads;
 #endif
-    for (const bool parallel : {false, true}) {
-      for (const bool mmap : {false, true}) {
-        ProfileCampaignOptions options;
-        options.parallel = parallel;
-        options.mmap = mmap;
-        expect_profiles_bit_identical(profile_trace_files(paths, options),
-                                      reference);
-      }
+    for (const bool mmap : {false, true}) {
+      ProfileCampaignOptions options;
+      options.mmap = mmap;
+      expect_profiles_bit_identical(profile_trace_files(paths, options), reference);
     }
   }
 #ifdef _OPENMP
@@ -338,24 +318,20 @@ TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
 
 TEST(MappedEquivalence, V2AndV3FilesFlowThroughMmapCampaign) {
   // A mixed-generation directory ingested with mmap enabled: v4 maps, v2/v3
-  // fall back — and the merge still matches the all-buffered reference.
-  const Trace a = sim_trace("md", 51);
-  const Trace b = sim_trace("compute", 52);
-  const Trace c = sim_trace("matmul", 53);
-  std::ostringstream v2os, v3os;
-  write_trace_v2(a, v2os);
-  write_trace_v3(b, v3os);
+  // fall back — and the merge still matches the serial buffered loop. The
+  // two legacy goldens encode the same run key, so they merge across formats.
   const std::vector<std::string> paths = {
-      write_bytes("mixed_a.otf2l", v2os.str()),
-      write_bytes("mixed_b.otf2l", v3os.str()),
-      write_bytes("mixed_c.otf2l", v4_bytes(c)),
+      write_bytes("mixed_a.otf2l", golden_bytes(kGoldenV2)),
+      write_bytes("mixed_b.otf2l", golden_bytes(kGoldenV3)),
+      write_bytes("mixed_c.otf2l", v4_bytes(sim_trace("matmul", 53))),
   };
-  ProfileCampaignOptions serial;
-  serial.parallel = false;
   ProfileCampaignOptions mapped;
   mapped.mmap = true;
-  expect_profiles_bit_identical(profile_trace_files(paths, mapped),
-                                profile_trace_files(paths, serial));
+  const auto profiles = profile_trace_files(paths, mapped);
+  expect_profiles_bit_identical(profiles, serial_batch(paths));
+  ASSERT_FALSE(profiles.empty());
+  EXPECT_EQ(profiles[0].workload, "unit");
+  EXPECT_EQ(profiles[0].runs_merged, 2u);
 }
 
 // ---------------------------------------------------- identical rejection
@@ -562,9 +538,7 @@ std::string write_run(const std::filesystem::path& dir, const std::string& name,
 
 std::vector<PhaseProfile> cold_batch(std::vector<std::string> paths) {
   std::sort(paths.begin(), paths.end());
-  ProfileCampaignOptions serial;
-  serial.parallel = false;
-  return profile_trace_files(paths, serial);
+  return profile_trace_files(paths);
 }
 
 TEST(IncrementalCampaign, ColdStartMatchesBatchBitIdentical) {

@@ -1,6 +1,7 @@
 // Tests for the OTF2-lite trace layer: records, the columnar event store,
-// serialization (v3 + legacy v2), metric plugins, phase-profile
-// post-processing, and batch campaign ingestion.
+// serialization (the v4 writer, and the v2/v3 readers pinned by golden
+// bytes), metric plugins, phase-profile post-processing, and batch campaign
+// ingestion.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,35 +21,17 @@
 #include "common/error.hpp"
 #include "sim/engine.hpp"
 #include "trace/columns.hpp"
+#include "trace/format.hpp"
 #include "trace/phase_profile.hpp"
 #include "trace/plugins.hpp"
 #include "trace/profile_campaign.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace.hpp"
+#include "trace_goldens.hpp"
 #include "workloads/registry.hpp"
 
 namespace pwx::trace {
 namespace {
-
-Trace make_small_trace() {
-  Trace t;
-  t.set_attribute("workload", "unit");
-  t.set_attribute("frequency_ghz", 2.4);
-  t.set_attribute("threads", 4.0);
-  const auto power = t.define_metric({"power", "W", MetricMode::AsyncAverage});
-  const auto volt = t.define_metric({"core_voltage", "V", MetricMode::AsyncInstant});
-  const auto ctr =
-      t.define_metric({"PAPI_TOT_CYC", "events", MetricMode::CounterIncrement});
-  t.append(RegionEnter{0, "phase_a"});
-  t.append(MetricEvent{1000000000, power, 100.0});
-  t.append(MetricEvent{1000000000, volt, 0.9});
-  t.append(MetricEvent{1000000000, ctr, 5.0e9});
-  t.append(MetricEvent{2000000000, power, 110.0});
-  t.append(MetricEvent{2000000000, volt, 0.9});
-  t.append(MetricEvent{2000000000, ctr, 5.2e9});
-  t.append(RegionExit{2000000000, "phase_a"});
-  return t;
-}
 
 // ---------------------------------------------------------------- trace core
 
@@ -513,100 +496,131 @@ TEST(Columns, AdoptColumnsValidatesInvariants) {
   }
 }
 
-// ---------------------------------------------------------------- v2 compatibility
+// ------------------------------------------------- v4 writer, v2/v3 readers
 
-TEST(SerializeV2, RoundTripsThroughSharedReader) {
-  const Trace original = make_small_trace();
-  std::stringstream buffer;
-  write_trace_v2(original, buffer);
-  const Trace loaded = read_trace(buffer);
-  EXPECT_EQ(loaded.attributes(), original.attributes());
-  ASSERT_EQ(loaded.metrics().size(), original.metrics().size());
-  ASSERT_EQ(loaded.events().size(), original.events().size());
-  for (std::size_t i = 0; i < loaded.events().size(); ++i) {
-    EXPECT_EQ(Trace::event_time(loaded.events()[i]),
-              Trace::event_time(original.events()[i]));
-    EXPECT_EQ(loaded.events()[i].index(), original.events()[i].index());
+void expect_profiles_identical(const std::vector<PhaseProfile>& actual,
+                               const std::vector<PhaseProfile>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].workload, expected[i].workload);
+    EXPECT_EQ(actual[i].phase, expected[i].phase);
+    EXPECT_EQ(actual[i].frequency_ghz, expected[i].frequency_ghz);
+    EXPECT_EQ(actual[i].threads, expected[i].threads);
+    EXPECT_EQ(actual[i].start_s, expected[i].start_s);
+    EXPECT_EQ(actual[i].end_s, expected[i].end_s);
+    EXPECT_EQ(actual[i].elapsed_s, expected[i].elapsed_s);
+    EXPECT_EQ(actual[i].avg_power_watts, expected[i].avg_power_watts);
+    EXPECT_EQ(actual[i].avg_voltage, expected[i].avg_voltage);
+    EXPECT_EQ(actual[i].runs_merged, expected[i].runs_merged);
+    EXPECT_EQ(actual[i].counter_rates, expected[i].counter_rates);  // exact doubles
   }
 }
 
-// Golden v2 bytes of make_small_trace(), captured before the v3 format
-// landed. Guards two contracts at once: archived v2 files stay readable,
-// and write_trace_v2 keeps producing the exact legacy bytes.
-const unsigned char kGoldenV2[] = {
-    0x4f, 0x54, 0x46, 0x32, 0x4c, 0x54, 0x76, 0x32, 0x03, 0x00, 0x00, 0x00,
-    0x0d, 0x00, 0x00, 0x00, 0x66, 0x72, 0x65, 0x71, 0x75, 0x65, 0x6e, 0x63,
-    0x79, 0x5f, 0x67, 0x68, 0x7a, 0x0b, 0x00, 0x00, 0x00, 0x32, 0x2e, 0x34,
-    0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x07, 0x00, 0x00, 0x00,
-    0x74, 0x68, 0x72, 0x65, 0x61, 0x64, 0x73, 0x0b, 0x00, 0x00, 0x00, 0x34,
-    0x2e, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x08, 0x00,
-    0x00, 0x00, 0x77, 0x6f, 0x72, 0x6b, 0x6c, 0x6f, 0x61, 0x64, 0x04, 0x00,
-    0x00, 0x00, 0x75, 0x6e, 0x69, 0x74, 0x03, 0x00, 0x00, 0x00, 0x05, 0x00,
-    0x00, 0x00, 0x70, 0x6f, 0x77, 0x65, 0x72, 0x01, 0x00, 0x00, 0x00, 0x57,
-    0x00, 0x0c, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x72, 0x65, 0x5f, 0x76, 0x6f,
-    0x6c, 0x74, 0x61, 0x67, 0x65, 0x01, 0x00, 0x00, 0x00, 0x56, 0x01, 0x0c,
-    0x00, 0x00, 0x00, 0x50, 0x41, 0x50, 0x49, 0x5f, 0x54, 0x4f, 0x54, 0x5f,
-    0x43, 0x59, 0x43, 0x06, 0x00, 0x00, 0x00, 0x65, 0x76, 0x65, 0x6e, 0x74,
-    0x73, 0x02, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x70,
-    0x68, 0x61, 0x73, 0x65, 0x5f, 0x61, 0x03, 0x00, 0xca, 0x9a, 0x3b, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x59, 0x40, 0x03, 0x00, 0xca, 0x9a, 0x3b, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f,
-    0x03, 0x00, 0xca, 0x9a, 0x3b, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x20, 0x5f, 0xa0, 0xf2, 0x41, 0x03, 0x00, 0x94,
-    0x35, 0x77, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x80, 0x5b, 0x40, 0x03, 0x00, 0x94, 0x35, 0x77, 0x00,
-    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xcd, 0xcc, 0xcc, 0xcc, 0xcc,
-    0xcc, 0xec, 0x3f, 0x03, 0x00, 0x94, 0x35, 0x77, 0x00, 0x00, 0x00, 0x00,
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x1b, 0x5f, 0xf3, 0x41,
-    0x02, 0x00, 0x94, 0x35, 0x77, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
-    0x00, 0x70, 0x68, 0x61, 0x73, 0x65, 0x5f, 0x61, 0x90, 0xd5, 0xc7, 0x56,
-    0x6d, 0x76, 0xa7, 0xc9};
-
-TEST(SerializeV2, GoldenBytesStayReadable) {
-  const std::string data(reinterpret_cast<const char*>(kGoldenV2), sizeof kGoldenV2);
-  std::stringstream in(data);
+/// A legacy golden must decode to exactly make_small_trace(): attributes,
+/// metric definitions, every event, and bit-identical phase profiles.
+void expect_decodes_to_small_trace(const std::string& bytes) {
+  std::stringstream in(bytes);
   const Trace loaded = read_trace(in);
   const Trace expected = make_small_trace();
   EXPECT_EQ(loaded.attributes(), expected.attributes());
-  ASSERT_EQ(loaded.metrics().size(), 3u);
-  EXPECT_EQ(loaded.metrics()[2].name, "PAPI_TOT_CYC");
-  ASSERT_EQ(loaded.events().size(), expected.events().size());
-  const auto profiles = build_phase_profiles(loaded);
+  ASSERT_EQ(loaded.metrics().size(), expected.metrics().size());
+  for (std::size_t i = 0; i < loaded.metrics().size(); ++i) {
+    EXPECT_EQ(loaded.metrics()[i].name, expected.metrics()[i].name);
+    EXPECT_EQ(loaded.metrics()[i].unit, expected.metrics()[i].unit);
+    EXPECT_EQ(loaded.metrics()[i].mode, expected.metrics()[i].mode);
+  }
+  const EventColumns& got = loaded.columns();
+  const EventColumns& want = expected.columns();
+  EXPECT_EQ(got.times, want.times);
+  EXPECT_EQ(got.kinds, want.kinds);
+  EXPECT_EQ(got.ids, want.ids);
+  EXPECT_EQ(got.values, want.values);  // exact doubles
+  EXPECT_EQ(got.regions.names(), want.regions.names());
+
+  expect_profiles_identical(build_phase_profiles(loaded), build_phase_profiles(expected));
+}
+
+/// Every truncation and every single-bit flip of `bytes` must fail typed: an
+/// IoError with code Corruption and a byte offset, plus a record index once
+/// a truncation cuts at or past `first_record_cut`.
+void expect_every_byte_fails_typed(const std::string& bytes,
+                                   std::size_t first_record_cut) {
+  const auto check = [](const std::string& data, const std::string& what,
+                        bool wants_record) {
+    std::stringstream in(data);
+    try {
+      read_trace(in);
+      ADD_FAILURE() << what << " must not parse";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Corruption) << what;
+      EXPECT_GE(e.byte_offset(), 0) << what;
+      if (wants_record) {
+        EXPECT_GE(e.record_index(), 0) << what;
+      }
+    }
+  };
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    check(bytes.substr(0, cut), "truncation at byte " + std::to_string(cut),
+          cut >= first_record_cut);
+  }
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      check(flipped,
+            "flip of bit " + std::to_string(bit) + " at byte " + std::to_string(pos),
+            false);
+    }
+  }
+}
+
+/// make_small_trace()'s eight events: enter and exit records carry the
+/// 7-byte region name, metric records a u32 id and an f64 value.
+constexpr std::size_t kSmallEvents = 8;
+constexpr std::size_t kSmallV2RecordBytes = 2 * (1 + 8 + 4 + 7) + 6 * (1 + 8 + 4 + 8);
+
+TEST(SerializeV2, RoundTripsThroughSharedReader) {
+  expect_decodes_to_small_trace(golden_bytes(kGoldenV2));
+}
+
+// The decoded profile against a hand-computed value, not only against the
+// fixture trace: (100 W + 110 W) / 2 over the phase's two 1 s intervals.
+TEST(SerializeV2, GoldenBytesStayReadable) {
+  std::stringstream in(golden_bytes(kGoldenV2));
+  const auto profiles = build_phase_profiles(read_trace(in));
   ASSERT_EQ(profiles.size(), 1u);
   EXPECT_NEAR(profiles[0].avg_power_watts, 105.0, 1e-9);
 }
 
+// v4 is the only format written; its exact bytes are pinned like the legacy
+// ones so a writer change can never slip through as a silent re-layout.
 TEST(SerializeV2, WriterReproducesGoldenBytes) {
   std::ostringstream os;
-  write_trace_v2(make_small_trace(), os);
-  const std::string produced = os.str();
-  ASSERT_EQ(produced.size(), sizeof kGoldenV2);
-  EXPECT_EQ(produced,
-            std::string(reinterpret_cast<const char*>(kGoldenV2), sizeof kGoldenV2));
+  write_trace(make_small_trace(), os);
+  EXPECT_EQ(os.str(), golden_bytes(kGoldenV4));
 }
 
+// The v2 reader is stream-based, so a cut reaches the event records right
+// after the u64 event count: record bytes and the 8-byte footer follow it.
 TEST(SerializeV2, CorruptionSweepAlwaysFailsTyped) {
-  const auto run = quick_run("md");
-  const Trace original = build_standard_trace(run, {pmc::Preset::TOT_CYC});
-  std::stringstream buffer;
-  write_trace_v2(original, buffer);
-  const std::string data = buffer.str();
-  ASSERT_GT(data.size(), 128u);
-  for (std::size_t cut = 0; cut < data.size(); cut += 64) {
-    std::stringstream in(data.substr(0, cut));
-    EXPECT_THROW(read_trace(in), IoError) << "truncation at byte " << cut;
-  }
-  for (std::size_t pos = 0; pos < data.size(); pos += 64) {
-    std::string flipped = data;
-    flipped[pos] ^= 0x10;
-    std::stringstream in(flipped);
-    EXPECT_THROW(read_trace(in), IoError) << "bit flip at byte " << pos;
-  }
+  const std::string data = golden_bytes(kGoldenV2);
+  expect_every_byte_fails_typed(data, data.size() - 8 - kSmallV2RecordBytes);
 }
 
-TEST(Serialize, V3RoundTripIsBitIdentical) {
+TEST(SerializeV3, GoldenBytesDecodeToSmallTrace) {
+  expect_decodes_to_small_trace(golden_bytes(kGoldenV3));
+}
+
+// v3 ends in the u64 event count, the four columns, and the footer. The
+// reader takes a truncated file's last 8 bytes as its footer, so a cut
+// reaches the columns only 8 bytes past their first byte.
+TEST(SerializeV3, CorruptionSweepAlwaysFailsTyped) {
+  const std::string data = golden_bytes(kGoldenV3);
+  const std::size_t columns_begin = data.size() - 8 - kSmallEvents * format::kEventBytes;
+  expect_every_byte_fails_typed(data, columns_begin + 8);
+}
+
+TEST(Serialize, V4RoundTripIsBitIdentical) {
   const auto run = quick_run("md");
   const Trace original = build_standard_trace(run, {pmc::Preset::TOT_CYC,
                                                     pmc::Preset::PRF_DM});
@@ -619,10 +633,10 @@ TEST(Serialize, V3RoundTripIsBitIdentical) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-// Every truncation of a v3 stream must carry a usable diagnosis: a byte
+// Every truncation of a v4 stream must carry a usable diagnosis: a byte
 // offset always, and — when the cut lands inside the bulk event arrays — a
 // non-negative record index (the first event that could not be recovered).
-TEST(Serialize, V3TruncationSweepKeepsOffsetContract) {
+TEST(Serialize, V4TruncationSweepKeepsOffsetContract) {
   const Trace original = make_small_trace();
   std::stringstream buffer;
   write_trace(original, buffer);
@@ -685,7 +699,7 @@ const std::vector<std::string>& campaign_fixture_files() {
   return paths;
 }
 
-/// The plain serial loop ProfileCampaign must match bit for bit.
+/// The plain serial loop profile_trace_files must match bit for bit.
 std::vector<PhaseProfile> serial_reference(const std::vector<std::string>& paths) {
   std::vector<std::vector<PhaseProfile>> groups;
   std::vector<PhaseProfile> keys;
@@ -713,35 +727,19 @@ std::vector<PhaseProfile> serial_reference(const std::vector<std::string>& paths
   return out;
 }
 
-void expect_profiles_identical(const std::vector<PhaseProfile>& actual,
-                               const std::vector<PhaseProfile>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].workload, expected[i].workload);
-    EXPECT_EQ(actual[i].phase, expected[i].phase);
-    EXPECT_EQ(actual[i].frequency_ghz, expected[i].frequency_ghz);
-    EXPECT_EQ(actual[i].threads, expected[i].threads);
-    EXPECT_EQ(actual[i].start_s, expected[i].start_s);
-    EXPECT_EQ(actual[i].end_s, expected[i].end_s);
-    EXPECT_EQ(actual[i].elapsed_s, expected[i].elapsed_s);
-    EXPECT_EQ(actual[i].avg_power_watts, expected[i].avg_power_watts);
-    EXPECT_EQ(actual[i].avg_voltage, expected[i].avg_voltage);
-    EXPECT_EQ(actual[i].runs_merged, expected[i].runs_merged);
-    EXPECT_EQ(actual[i].counter_rates, expected[i].counter_rates);  // exact doubles
-  }
-}
-
-class ProfileCampaignEquivalence
+/// (OpenMP threads, mmap): the batch at 1 thread is the serial schedule, at
+/// 4 and 16 the parallel one, each buffered and mapped.
+struct ProfileCampaignEquivalence
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(ProfileCampaignEquivalence, BatchBitIdenticalToSerialLoop) {
-  const auto [threads, parallel] = GetParam();
+  const auto [threads, mmap] = GetParam();
 #ifdef _OPENMP
   omp_set_num_threads(threads);
 #endif
   const auto& paths = campaign_fixture_files();
   ProfileCampaignOptions options;
-  options.parallel = parallel;
+  options.mmap = mmap;
   const auto batch = profile_trace_files(paths, options);
   const auto expected = serial_reference(paths);
   EXPECT_GT(batch.size(), 0u);
@@ -767,15 +765,26 @@ TEST(ProfileCampaign, MergesMultiplexedGroupsAcrossRuns) {
   }
 }
 
+// The per-file step keeps one unmerged row per run phase and reports how
+// the bytes arrived.
 TEST(ProfileCampaign, NoMergeKeepsPerRunRows) {
-  ProfileCampaignOptions options;
-  options.merge = false;
-  const auto profiles = profile_trace_files(campaign_fixture_files(), options);
-  // md twice (2 phases each) + compute twice + matmul twice = 8 rows.
-  EXPECT_EQ(profiles.size(), 8u);
-  for (const PhaseProfile& p : profiles) {
-    EXPECT_EQ(p.runs_merged, 1u);
+  std::size_t rows = 0;
+  for (const std::string& path : campaign_fixture_files()) {
+    const std::size_t size = std::filesystem::file_size(path);
+    const TraceFileProfiles buffered = profile_trace_file(path);
+    EXPECT_EQ(buffered.bytes_copied, size);
+    EXPECT_EQ(buffered.bytes_mapped, 0u);
+    const TraceFileProfiles mapped = profile_trace_file(path, {.mmap = true});
+    EXPECT_EQ(mapped.bytes_mapped, size);
+    EXPECT_EQ(mapped.bytes_copied, 0u);
+    expect_profiles_identical(mapped.profiles, buffered.profiles);
+    for (const PhaseProfile& p : buffered.profiles) {
+      EXPECT_EQ(p.runs_merged, 1u);
+    }
+    rows += buffered.profiles.size();
   }
+  // md twice (2 phases each) + compute twice + matmul twice = 8 rows.
+  EXPECT_EQ(rows, 8u);
 }
 
 TEST(ProfileCampaign, ErrorCarriesOffendingPath) {

@@ -42,9 +42,10 @@
 // SIGUSR1 triggers an on-demand flight-recorder dump without stopping.
 //
 // Exit codes: 0 ok (including signal-requested shutdown), 1 generic error,
-// 2 usage. Ingestion failures of individual files are not fatal: the daemon
-// reports them on stderr, keeps the file quarantined until it changes, and
-// publishes the rest.
+// 2 usage (also a numeric value that is empty, out of range or not wholly a
+// number, e.g. `--interval abc`). Ingestion failures of individual files are
+// not fatal: the daemon reports them on stderr, keeps the file quarantined
+// until it changes, and publishes the rest.
 //
 // Telemetry: ingestd.files_ingested / files_failed / bytes_mapped /
 // bytes_copied / republishes counters and the ingestd.republish_seconds
@@ -59,6 +60,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -267,6 +269,16 @@ private:
   std::vector<core::HealthState> health_;
 };
 
+/// Store a strictly parsed flag value; false (leaving `out` untouched) when
+/// the text was empty, out of range or not wholly a number.
+template <typename T, typename Out>
+bool assign(const std::optional<T>& value, Out& out) {
+  if (value) {
+    out = *value;
+  }
+  return value.has_value();
+}
+
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -312,17 +324,27 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
       options.campaign.verify_checksum = false;
     } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
-      interval_s = std::strtod(argv[++i], nullptr);
+      if (!assign(parse_double(argv[++i]), interval_s)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--polls") == 0 && i + 1 < argc) {
-      max_polls = std::strtoull(argv[++i], nullptr, 10);
+      if (!assign(parse_u64(argv[++i]), max_polls)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--refresh-window") == 0 && i + 1 < argc) {
-      drift.window_size = std::strtoull(argv[++i], nullptr, 10);
+      if (!assign(parse_u64(argv[++i]), drift.window_size)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--refresh-mape") == 0 && i + 1 < argc) {
-      drift.max_mape_pct = std::strtod(argv[++i], nullptr);
+      if (!assign(parse_double(argv[++i]), drift.max_mape_pct)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-sample") == 0 && i + 1 < argc) {
-      trace_sample = std::strtoull(argv[++i], nullptr, 10);
+      if (!assign(parse_u64(argv[++i]), trace_sample)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--flight-recorder") == 0 && i + 1 < argc) {
       flight_path = argv[++i];
     } else if (directory == nullptr && argv[i][0] != '-') {

@@ -9,20 +9,23 @@
 //   pwx-trace-dump <trace.otf2l> --stat          # section table + I/O stats
 //
 // `--mmap` (combinable with any mode) ingests through the zero-copy mapped
-// reader instead of the buffered one; --stat always does. v2/v3 files fall
-// back to the buffered reader transparently, which --stat reports as
-// "buffered" with the copied byte count.
+// reader instead of the buffered one; --stat always does. Archived v2/v3
+// files (read-only formats; the library writes v4) fall back to the buffered
+// reader transparently, which --stat reports as "buffered" with the copied
+// byte count.
 //
-// Exit codes: 0 ok, 1 generic error, 2 usage, 3 corrupt/truncated trace
-// (the IoError diagnosis — byte offset and record index — goes to stderr).
+// Exit codes: 0 ok, 1 generic error, 2 usage (also an unknown mode word or a
+// non-numeric --events N), 3 corrupt/truncated trace (the IoError
+// diagnosis — byte offset and record index — goes to stderr).
 //
 // The post-processing path is exactly the library's phase-profile builder,
 // so what this tool prints is what the modeling pipeline consumes.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -213,16 +216,24 @@ int main(int argc, char** argv) {
       mode_args.push_back(argv[i]);
     }
   }
-  if (path == nullptr) {
+  const auto mode = [&](const char* flag) {
+    return !mode_args.empty() && std::strcmp(mode_args[0], flag) == 0;
+  };
+  // At most one known mode word; only --events takes a value, its limit.
+  const bool known_mode = mode_args.empty() || mode("--events") || mode("--csv") ||
+                          mode("--json") || mode("--profile") || mode("--stat");
+  const std::size_t max_args = mode("--events") ? 2 : 1;
+  std::optional<std::uint64_t> event_limit = 50;
+  if (mode("--events") && mode_args.size() == 2) {
+    event_limit = pwx::parse_u64(mode_args[1]);
+  }
+  if (path == nullptr || !known_mode || mode_args.size() > max_args || !event_limit) {
     std::fprintf(stderr,
                  "usage: %s <trace.otf2l> [--mmap] "
                  "[--events [N] | --csv | --json | --profile | --stat]\n",
                  argv[0]);
     return 2;
   }
-  const auto mode = [&](const char* flag) {
-    return !mode_args.empty() && std::strcmp(mode_args[0], flag) == 0;
-  };
   try {
     if (mode("--stat")) {
       return print_stat(pwx::trace::MappedTraceFile::open(path));
@@ -239,9 +250,7 @@ int main(int argc, char** argv) {
         use_mmap ? pwx::trace::to_trace(pwx::trace::MappedTraceFile::open(path).view())
                  : pwx::trace::read_trace_file(path);
     if (mode("--events")) {
-      const std::size_t limit =
-          mode_args.size() >= 2 ? std::strtoul(mode_args[1], nullptr, 10) : 50;
-      return print_events(t, limit);
+      return print_events(t, static_cast<std::size_t>(*event_limit));
     }
     if (mode("--csv")) {
       return print_csv(t);
