@@ -43,6 +43,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -52,6 +53,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/fleet.hpp"
 #include "core/model.hpp"
 #include "fleet/delta.hpp"
@@ -304,11 +306,32 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto u64 = [&]() {
+      const auto value = parse_u64(next());
+      if (!value) {
+        std::exit(usage(argv[0]));
+      }
+      return *value;
+    };
+    const auto real = [&]() {
+      const auto value = parse_double(next());
+      if (!value) {
+        std::exit(usage(argv[0]));
+      }
+      return *value;
+    };
+    const auto u32 = [&]() {
+      const std::uint64_t value = u64();
+      if (value > std::numeric_limits<std::uint32_t>::max()) {
+        std::exit(usage(argv[0]));
+      }
+      return static_cast<std::uint32_t>(value);
+    };
     if (arg == "--leaf") {
       leaf_mode = true;
-      leaf_index = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      leaf_index = u32();
     } else if (arg == "--leaves") {
-      leaf_count = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      leaf_count = u32();
     } else if (arg == "--flat") {
       flat_mode = true;
     } else if (arg == "--aggregate") {
@@ -316,18 +339,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--shards") {
-      shards = std::strtoul(next(), nullptr, 10);
+      shards = u64();
     } else if (arg == "--nodes") {
-      node_count = std::strtoul(next(), nullptr, 10);
+      node_count = u64();
     } else if (arg == "--rounds") {
-      rounds = std::strtoul(next(), nullptr, 10);
+      rounds = u64();
     } else if (arg == "--interval-s") {
-      interval_s = std::strtod(next(), nullptr);
+      interval_s = real();
     } else if (arg == "--spool") {
       spool = next();
     } else {
       return usage(argv[0]);
     }
+  }
+  if (interval_s < 0.0) {
+    return usage(argv[0]);
   }
 
   try {

@@ -268,14 +268,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto u64 = [&]() {
+      const auto value = parse_u64(next());
+      if (!value) {
+        std::exit(usage(argv[0]));
+      }
+      return *value;
+    };
+    const auto real = [&]() {
+      const auto value = parse_double(next());
+      if (!value) {
+        std::exit(usage(argv[0]));
+      }
+      return *value;
+    };
     if (arg == "--workload") {
       workload_name = next();
     } else if (arg == "--threads") {
-      threads = std::strtoul(next(), nullptr, 10);
+      threads = u64();
     } else if (arg == "--samples") {
-      max_samples = std::strtoul(next(), nullptr, 10);
+      max_samples = u64();
     } else if (arg == "--interval-s") {
-      interval_s = std::strtod(next(), nullptr);
+      interval_s = real();
     } else if (arg == "--format") {
       const std::string v = next();
       if (v == "jsonl") {
@@ -288,9 +302,9 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--faults") {
-      fault_seed = std::strtoull(next(), nullptr, 0);
+      fault_seed = u64();
     } else if (arg == "--intensity") {
-      intensity = std::strtod(next(), nullptr);
+      intensity = real();
     } else if (arg == "--no-robust") {
       robust = false;
     } else if (arg == "--log-json") {
@@ -304,10 +318,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--aggregate") {
       aggregate_file = next();
     } else if (arg == "--fleet") {
-      fleet_nodes = std::strtoul(next(), nullptr, 10);
+      fleet_nodes = u64();
     } else {
       return usage(argv[0]);
     }
+  }
+  if (threads == 0 || interval_s < 0.0 || intensity < 0.0) {
+    return usage(argv[0]);
   }
 
   try {

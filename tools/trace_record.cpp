@@ -11,29 +11,44 @@
 // Events default to the six counters a standard selection run picks; any
 // PAPI preset names (with or without the PAPI_ prefix) are accepted.
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "acquire/campaign.hpp"
+#include "common/strings.hpp"
 #include "core/selection.hpp"
 #include "sim/engine.hpp"
 #include "trace/plugins.hpp"
 #include "trace/serialize.hpp"
 #include "workloads/registry.hpp"
 
+namespace {
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <workload> <out.otf2l> [freq_ghz] [threads] "
+               "[EVENT ...]\n  workloads: ",
+               argv0);
+  for (const auto& w : pwx::workloads::all_workloads()) {
+    std::fprintf(stderr, "%s ", w.name.c_str());
+  }
+  std::fprintf(stderr, "\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace pwx;
   if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <workload> <out.otf2l> [freq_ghz] [threads] "
-                 "[EVENT ...]\n  workloads: ",
-                 argv[0]);
-    for (const auto& w : workloads::all_workloads()) {
-      std::fprintf(stderr, "%s ", w.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
+    return usage(argv[0]);
+  }
+  const std::optional<double> ghz = argc > 3 ? parse_double(argv[3]) : 2.4;
+  const std::optional<std::uint64_t> threads =
+      argc > 4 ? parse_u64(argv[4]) : 24;
+  if (!ghz || *ghz <= 0.0 || !threads || *threads == 0) {
+    return usage(argv[0]);
   }
   try {
     const auto workload = workloads::find_workload(argv[1]);
@@ -42,8 +57,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     sim::RunConfig rc;
-    rc.frequency_ghz = argc > 3 ? std::strtod(argv[3], nullptr) : 2.4;
-    rc.threads = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 24;
+    rc.frequency_ghz = *ghz;
+    rc.threads = *threads;
     rc.interval_s = 0.1;
 
     std::vector<pmc::Preset> events;
