@@ -4,7 +4,7 @@
 #include "common/log.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
-#include "obs/span.hpp"
+#include "obs/trace_export.hpp"
 
 namespace pwx::obs {
 
@@ -26,7 +26,7 @@ TelemetrySink::TelemetrySink(std::ostream& out, TelemetrySinkConfig config,
   PWX_REQUIRE(config_.interval_s >= 0.0, "sink interval must be non-negative");
 }
 
-void TelemetrySink::flush(double now_s) {
+void TelemetrySink::flush(double now_s, const std::vector<SpanRecord>* spans) {
   const MetricsSnapshot snapshot = registry_->snapshot();
   // Feed the flight recorder's "what moved since the last flush" ring; a
   // disarmed recorder makes this one relaxed load.
@@ -36,11 +36,11 @@ void TelemetrySink::flush(double now_s) {
   switch (config_.format) {
     case ExportFormat::Jsonl: {
       out_ << to_jsonl_line(snapshot, flushes_) << '\n';
-      if (config_.include_spans) {
+      if (spans != nullptr) {
         Json line;
         line["event"] = Json("spans");
         line["seq"] = Json(flushes_);
-        line["spans"] = span_profile_to_json(spans().profile());
+        line["spans"] = span_profile_to_json(span_path_profile(*spans));
         out_ << line.dump(-1) << '\n';
       }
       break;
@@ -50,9 +50,9 @@ void TelemetrySink::flush(double now_s) {
       break;
     case ExportFormat::Table:
       print_table(snapshot, out_);
-      if (config_.include_spans) {
+      if (spans != nullptr) {
         out_ << '\n';
-        print_span_table(spans().profile(), out_);
+        print_span_table(span_path_profile(*spans), out_);
       }
       break;
   }
@@ -66,11 +66,12 @@ void TelemetrySink::flush(double now_s) {
                {"metrics", std::to_string(snapshot.values.size())}});
 }
 
-bool TelemetrySink::maybe_flush(double now_s) {
+bool TelemetrySink::maybe_flush(double now_s,
+                                const std::vector<SpanRecord>* spans) {
   if (flushed_once_ && now_s - last_flush_s_ < config_.interval_s) {
     return false;
   }
-  flush(now_s);
+  flush(now_s, spans);
   return true;
 }
 

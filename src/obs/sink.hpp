@@ -1,19 +1,23 @@
 // Periodic telemetry snapshot/flush.
 //
 // A TelemetrySink owns the "when and where" of metric export: it snapshots a
-// MetricRegistry (and optionally the span profile), renders the configured
-// format, and writes it to a stream — unconditionally via flush(), or rate-
-// limited via maybe_flush(now_s) for sampling loops that tick faster than an
-// operator wants output. Time is passed in by the caller (monotonic_s() in
-// production, anything in tests), so flush cadence is testable without real
-// sleeps. Every flush also emits a structured debug log event through
-// common/log, which routes into the JSON log sink when one is selected.
+// MetricRegistry, renders the configured format, and writes it to a stream —
+// unconditionally via flush(), or rate-limited via maybe_flush(now_s) for
+// sampling loops that tick faster than an operator wants output. A caller
+// that collects spans hands the drained SpanRecords to each flush, and the
+// sink appends their path profile (obs/trace_export.hpp). Time is passed in
+// by the caller (monotonic_s() in production, anything in tests), so flush
+// cadence is testable without real sleeps. Every flush also emits a
+// structured debug log event through common/log, which routes into the JSON
+// log sink when one is selected.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
+#include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace pwx::obs {
 
@@ -23,7 +27,6 @@ enum class ExportFormat { Jsonl, Prometheus, Table };
 struct TelemetrySinkConfig {
   double interval_s = 1.0;              ///< minimum spacing for maybe_flush
   ExportFormat format = ExportFormat::Jsonl;
-  bool include_spans = false;           ///< append the span profile per flush
 };
 
 class TelemetrySink {
@@ -33,12 +36,15 @@ public:
   explicit TelemetrySink(std::ostream& out, TelemetrySinkConfig config = {},
                          MetricRegistry* registry = nullptr);
 
-  /// Snapshot and write now, regardless of the interval.
-  void flush(double now_s);
+  /// Snapshot and write now, regardless of the interval. With `spans`, the
+  /// path profile of those records follows the metrics: a {"event":"spans"}
+  /// line in JSONL, an indented table in table format (Prometheus has no
+  /// span rendering).
+  void flush(double now_s, const std::vector<SpanRecord>* spans = nullptr);
 
   /// Flush when at least interval_s has passed since the previous flush
   /// (the first call always flushes). Returns whether output was written.
-  bool maybe_flush(double now_s);
+  bool maybe_flush(double now_s, const std::vector<SpanRecord>* spans = nullptr);
 
   /// Flushes performed so far (the "seq" field of JSONL output).
   std::uint64_t flushes() const { return flushes_; }

@@ -1,4 +1,5 @@
-// Scoped pipeline spans: RAII timers building a hierarchical timing profile.
+// Scoped pipeline spans: the one instrumentation mechanism behind both
+// "where did the time go?" views.
 //
 //   void run() {
 //     PWX_SPAN("campaign.run_campaign");
@@ -6,107 +7,64 @@
 //     for (...) { PWX_SPAN("campaign.unit"); ... }
 //   }
 //
-// Nested spans concatenate their names into a slash-separated path
-// ("campaign.run_campaign/campaign.unit"), tracked per thread; on scope exit
-// the elapsed wall time is aggregated into the process-wide SpanRegistry
-// under that path (call count, total/min/max seconds). The profile is a tree
-// readable by sorting paths — the exporters in obs/export render it as an
-// indented table or JSON.
+// A span is a scope in the causal trace (obs/trace.hpp): while a Tracer
+// session or the flight recorder is active, it becomes a SpanRecord with
+// trace/span/parent linkage and start/end timestamps. Both views are
+// reductions over drained records in obs/trace_export:
 //
-// Overhead: when telemetry is disabled a span costs one branch at
-// construction and one at destruction. When enabled, construction appends to
-// a thread-local path string and reads the steady clock; destruction takes
-// the registry mutex — spans are for pipeline stages (runs, folds, selection
+//   * span_path_profile — per-path call count and total/min/max seconds,
+//     where a span's path is its parent chain on its own thread
+//     ("campaign.run_campaign/campaign.unit"); rendered as an indented table
+//     or JSON, e.g. by pwx-monitor --spans.
+//   * attribute_latency — per-name total and self time.
+//
+// Overhead: with no session and no flight recorder a span costs one relaxed
+// load at construction and one branch at destruction; no clock is read and
+// nothing is locked. Spans are for pipeline stages (runs, folds, selection
 // steps), not per-sample hot paths.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
+#include <chrono>
 #include <string_view>
-#include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace pwx::obs {
 
-/// Aggregated timing of one span path.
-struct SpanStats {
-  std::string path;      ///< slash-separated nesting, e.g. "a/b"
-  std::uint64_t calls = 0;
-  double total_s = 0.0;
-  double min_s = 0.0;
-  double max_s = 0.0;
-
-  /// Nesting depth (number of separators).
-  std::size_t depth() const;
-  /// Last path component.
-  std::string_view name() const;
-};
-
-/// Process-wide span aggregation, path-sorted on read.
-class SpanRegistry {
-public:
-  SpanRegistry() = default;
-  SpanRegistry(const SpanRegistry&) = delete;
-  SpanRegistry& operator=(const SpanRegistry&) = delete;
-
-  /// Fold one completed span into the profile (thread-safe). Exposed so
-  /// tests and replayers can record deterministic durations directly.
-  void record(std::string_view path, double seconds);
-
-  /// Path-sorted copy of the profile.
-  std::vector<SpanStats> profile() const;
-
-  void reset();
-
-private:
-  struct Cell {
-    std::uint64_t calls = 0;
-    double total_s = 0.0;
-    double min_s = 0.0;
-    double max_s = 0.0;
-  };
-  mutable std::mutex mutex_;
-  std::map<std::string, Cell, std::less<>> cells_;
-};
-
-/// The process-wide span registry (sibling of obs::registry()).
-SpanRegistry& spans();
-
-/// RAII scope timer. Inactive (two branches total) while telemetry and
-/// tracing are both disabled; activation of each half is decided at
-/// construction, so toggling either global switch mid-scope never unbalances
-/// the thread-local path or parent stacks.
-///
-/// Two independent halves share one site:
-///   * metrics half (obs::enabled()) — aggregate path timing into
-///     SpanRegistry, exactly as before;
-///   * tracing half (obs::tracing_active()) — a structured SpanRecord with
-///     TraceId/SpanId/parent linkage through obs/trace.hpp, recorded into
-///     the per-thread ring when the trace is sampled.
+/// RAII trace scope. Whether the scope is traced is decided at construction,
+/// so starting or stopping a session mid-scope never unbalances the
+/// thread's parent stack.
 class Span {
 public:
-  explicit Span(std::string_view name);
-  ~Span();
+  explicit Span(std::string_view name) {
+    if (tracing_active()) {
+      traced_ = trace_detail::begin_span(name);
+    }
+  }
+  ~Span() {
+    if (traced_) {
+      trace_detail::end_span();
+    }
+  }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
 private:
-  bool active_ = false;
-  bool traced_ = false;            ///< balanced trace_detail frame pushed
-  std::size_t parent_length_ = 0;  ///< thread path length to restore
-  double start_s_ = 0.0;
+  bool traced_ = false;  ///< balanced trace_detail frame pushed
 };
 
 /// Monotonic wall clock in seconds (steady_clock); the time base all obs
 /// timings share.
-double monotonic_s();
+inline double monotonic_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
-/// RAII duration recorder into a Histogram — the histogram sibling of Span
-/// for sites that want a distribution rather than a tree. Inactive (one
-/// branch each way, no clock read) while telemetry is disabled.
+/// RAII duration recorder into a Histogram, for sites that want a latency
+/// distribution rather than a trace scope. Inactive (one branch each way, no
+/// clock read) while telemetry is disabled.
 class ScopedTimer {
 public:
   explicit ScopedTimer(Histogram& histogram) : histogram_(histogram) {
@@ -133,5 +91,5 @@ private:
 
 #define PWX_OBS_CONCAT2(a, b) a##b
 #define PWX_OBS_CONCAT(a, b) PWX_OBS_CONCAT2(a, b)
-/// Time the enclosing scope as an obs span.
+/// Trace the enclosing scope as an obs span.
 #define PWX_SPAN(name) ::pwx::obs::Span PWX_OBS_CONCAT(pwx_obs_span_, __LINE__)(name)

@@ -1,14 +1,13 @@
 // Structured causal tracing: spans with identity, not just timing.
 //
-// PR 3's PWX_SPAN gave the pipeline an *aggregate* timing profile (per-path
-// call counts and totals in SpanRegistry). This layer upgrades the same span
-// sites into a real trace: every sampled span gets a TraceId/SpanId/parent
-// linkage, monotonic start/end timestamps, and free-form attributes, and is
-// recorded as a SpanRecord into a lock-free single-producer ring buffer owned
-// by its thread. A collector (tools/pwx-ingestd --trace-out, pwx-monitor
-// --trace, the tests) drains the rings and hands the records to the
-// exporters in obs/trace_export.hpp (Chrome trace-event JSON for Perfetto,
-// span JSONL, the latency-attribution table).
+// Every PWX_SPAN site (obs/span.hpp) is a scope in this trace: every sampled
+// span gets a TraceId/SpanId/parent linkage, monotonic start/end timestamps,
+// and free-form attributes, and is recorded as a SpanRecord into a lock-free
+// single-producer ring buffer owned by its thread. A collector
+// (pwx-ingestd --trace-out, pwx-monitor --trace/--spans, the benchmark, the
+// tests) drains the rings and hands the records to the exporters in
+// obs/trace_export.hpp (Chrome trace-event JSON for Perfetto, span JSONL,
+// the latency-attribution table, the per-path profile).
 //
 // Design points:
 //
@@ -132,7 +131,7 @@ private:
   std::uint64_t session_ = 0;
 };
 
-/// The process-wide tracer (sibling of obs::registry() / obs::spans()).
+/// The process-wide tracer (sibling of obs::registry()).
 Tracer& tracer();
 
 /// TraceId of the current thread's innermost *sampled* span, 0 when none.

@@ -1,22 +1,17 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 
 namespace pwx::obs {
 
 namespace {
-
-std::string fixed(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return std::string(buf);
-}
 
 Json attrs_to_json(const std::vector<SpanAttr>& attrs) {
   Json::Object out;
@@ -182,9 +177,77 @@ void print_attribution_table(const std::vector<SpanAttribution>& attribution,
   for (const SpanAttribution& cell : attribution) {
     const double mean = cell.calls == 0 ? 0.0 : cell.total_s / cell.calls;
     const double pct = total_self <= 0.0 ? 0.0 : 100.0 * cell.self_s / total_self;
-    table.row({cell.name, std::to_string(cell.calls), fixed(cell.total_s, 6),
-               fixed(cell.self_s, 6), fixed(pct, 1), fixed(mean, 6),
-               fixed(cell.max_s, 6)});
+    table.row({cell.name, std::to_string(cell.calls),
+               format_double(cell.total_s, 6), format_double(cell.self_s, 6),
+               format_double(pct, 1), format_double(mean, 6),
+               format_double(cell.max_s, 6)});
+  }
+  table.print(out);
+}
+
+std::vector<SpanStats> span_path_profile(const std::vector<SpanRecord>& records) {
+  std::unordered_map<std::uint64_t, const SpanRecord*> by_id;
+  by_id.reserve(records.size());
+  for (const SpanRecord& record : records) {
+    by_id.emplace(record.span_id, &record);
+  }
+  std::map<std::string, SpanStats> by_path;
+  for (const SpanRecord& record : records) {
+    // Prepend ancestors while they ran on this thread; the hop bound stops a
+    // parent cycle in malformed input.
+    std::string path = record.name;
+    const SpanRecord* at = &record;
+    for (std::size_t hop = 0; hop < records.size() && at->parent_id != 0; ++hop) {
+      const auto parent = by_id.find(at->parent_id);
+      if (parent == by_id.end() || parent->second->thread != record.thread) {
+        break;
+      }
+      at = parent->second;
+      path = at->name + '/' + path;
+    }
+    SpanStats& cell = by_path[path];
+    const double duration = record.duration_s();
+    cell.min_s = cell.calls == 0 ? duration : std::min(cell.min_s, duration);
+    cell.max_s = cell.calls == 0 ? duration : std::max(cell.max_s, duration);
+    cell.calls += 1;
+    cell.total_s += duration;
+  }
+  std::vector<SpanStats> out;
+  out.reserve(by_path.size());
+  for (auto& [path, cell] : by_path) {
+    cell.path = path;
+    out.push_back(std::move(cell));
+  }
+  return out;
+}
+
+Json span_profile_to_json(const std::vector<SpanStats>& profile) {
+  Json::Array out;
+  for (const SpanStats& span : profile) {
+    Json::Object entry;
+    entry["path"] = Json(span.path);
+    entry["calls"] = Json(span.calls);
+    entry["total_s"] = Json(span.total_s);
+    entry["min_s"] = Json(span.min_s);
+    entry["max_s"] = Json(span.max_s);
+    out.push_back(Json(std::move(entry)));
+  }
+  return Json(std::move(out));
+}
+
+void print_span_table(const std::vector<SpanStats>& profile, std::ostream& out) {
+  TablePrinter table({"span", "calls", "total [s]", "mean [s]", "min [s]", "max [s]"});
+  for (const SpanStats& span : profile) {
+    const auto depth =
+        static_cast<std::size_t>(std::count(span.path.begin(), span.path.end(), '/'));
+    const std::size_t slash = span.path.rfind('/');
+    const double mean =
+        span.calls > 0 ? span.total_s / static_cast<double>(span.calls) : 0.0;
+    table.row({std::string(depth * 2, ' ') +
+                   (slash == std::string::npos ? span.path : span.path.substr(slash + 1)),
+               std::to_string(span.calls), format_double(span.total_s, 6),
+               format_double(mean, 6), format_double(span.min_s, 6),
+               format_double(span.max_s, 6)});
   }
   table.print(out);
 }

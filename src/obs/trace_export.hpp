@@ -12,6 +12,10 @@
 //   * Latency attribution — per-name total/self-time aggregation over a
 //     span forest (self = duration minus direct children), rendered as a
 //     table: the "which stage owns the p99" view.
+//   * Path profile — per-path call count and total/min/max seconds, where a
+//     span's path is its parent chain on its own thread; rendered as an
+//     indented tree table or a JSON array (pwx-monitor --spans, the
+//     TelemetrySink span section).
 #pragma once
 
 #include <cstdint>
@@ -57,5 +61,27 @@ std::vector<SpanAttribution> attribute_latency(const std::vector<SpanRecord>& re
 /// Render the attribution table (calls, total, self, self%, mean, max).
 void print_attribution_table(const std::vector<SpanAttribution>& attribution,
                              std::ostream& out);
+
+/// Aggregated timing of one span path.
+struct SpanStats {
+  std::string path;  ///< slash-separated nesting, e.g. "a/b"
+  std::uint64_t calls = 0;
+  double total_s = 0.0;
+  double min_s = 0.0;
+  double max_s = 0.0;
+};
+
+/// Aggregate records per path, sorted by path. A span's path is its parent
+/// chain on its own thread joined by '/': a span whose parent is missing
+/// from `records` or ran on another thread starts its own path, so a span
+/// on an OpenMP worker is a root even inside a master-thread scope.
+std::vector<SpanStats> span_path_profile(const std::vector<SpanRecord>& records);
+
+/// Path profile as a JSON array of {path, calls, total_s, min_s, max_s}.
+Json span_profile_to_json(const std::vector<SpanStats>& profile);
+
+/// Path profile as a tree table: each row is the last path component,
+/// indented two spaces per nesting level.
+void print_span_table(const std::vector<SpanStats>& profile, std::ostream& out);
 
 }  // namespace pwx::obs

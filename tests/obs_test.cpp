@@ -22,6 +22,8 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
 #include "sim/engine.hpp"
 #include "workloads/registry.hpp"
 
@@ -34,15 +36,26 @@ class ObsTest : public ::testing::Test {
 protected:
   void SetUp() override {
     obs::registry().reset_values();
-    obs::spans().reset();
     obs::set_enabled(true);
   }
   void TearDown() override {
+    obs::tracer().stop();
     obs::set_enabled(false);
     obs::registry().reset_values();
-    obs::spans().reset();
   }
 };
+
+/// A completed span with a hand-picked duration, as drained from thread 0.
+obs::SpanRecord span_record(std::uint64_t id, std::uint64_t parent,
+                            std::string name, double seconds) {
+  obs::SpanRecord record;
+  record.trace_id = 1;
+  record.span_id = id;
+  record.parent_id = parent;
+  record.name = std::move(name);
+  record.end_s = seconds;
+  return record;
+}
 
 // ---------------------------------------------------------------- registry
 
@@ -230,34 +243,42 @@ TEST_F(ObsTest, DefaultTimeBoundsAreAscending) {
 // ------------------------------------------------------------------- spans
 
 TEST_F(ObsTest, SpanNestingBuildsSlashPaths) {
+  obs::tracer().start();
   {
     PWX_SPAN("outer");
     { PWX_SPAN("inner"); }
     { PWX_SPAN("inner"); }
   }
-  const std::vector<obs::SpanStats> profile = obs::spans().profile();
+  obs::tracer().stop();
+  const std::vector<obs::SpanStats> profile =
+      obs::span_path_profile(obs::tracer().drain());
   ASSERT_EQ(profile.size(), 2u);
   EXPECT_EQ(profile[0].path, "outer");
   EXPECT_EQ(profile[0].calls, 1u);
-  EXPECT_EQ(profile[0].depth(), 0u);
   EXPECT_EQ(profile[1].path, "outer/inner");
   EXPECT_EQ(profile[1].calls, 2u);
-  EXPECT_EQ(profile[1].depth(), 1u);
-  EXPECT_EQ(profile[1].name(), "inner");
   EXPECT_GE(profile[0].total_s, profile[1].total_s);
 }
 
 TEST_F(ObsTest, SpanInactiveWhileDisabled) {
-  obs::set_enabled(false);
-  { PWX_SPAN("ghost"); }
-  EXPECT_TRUE(obs::spans().profile().empty());
+  // Telemetry is on, but with no tracer session and no flight recorder a
+  // span is not a trace scope: nothing is recorded anywhere.
+  ASSERT_TRUE(obs::enabled());
+  ASSERT_FALSE(obs::tracing_active());
+  obs::tracer().drain();
+  const std::uint64_t recorded = obs::tracer().stats().spans_recorded;
+  {
+    PWX_SPAN("ghost");
+    EXPECT_EQ(obs::current_span_id(), 0u);
+  }
+  EXPECT_TRUE(obs::tracer().drain().empty());
+  EXPECT_EQ(obs::tracer().stats().spans_recorded, recorded);
 }
 
 TEST_F(ObsTest, RecordAggregatesDeterministically) {
-  obs::spans().record("a", 1.0);
-  obs::spans().record("a", 3.0);
-  obs::spans().record("a/b", 0.25);
-  const std::vector<obs::SpanStats> profile = obs::spans().profile();
+  const std::vector<obs::SpanStats> profile = obs::span_path_profile(
+      {span_record(1, 0, "a", 1.0), span_record(2, 0, "a", 3.0),
+       span_record(3, 2, "b", 0.25)});
   ASSERT_EQ(profile.size(), 2u);
   EXPECT_EQ(profile[0].path, "a");
   EXPECT_EQ(profile[0].calls, 2u);
@@ -355,14 +376,14 @@ TEST_F(ObsTest, TableAndSpanExportsRender) {
   EXPECT_NE(table.str().find("campaign.runs"), std::string::npos);
   EXPECT_NE(table.str().find("histogram"), std::string::npos);
 
-  obs::spans().record("a", 1.5);
-  obs::spans().record("a/b", 0.5);
-  const Json spans_json = obs::span_profile_to_json(obs::spans().profile());
+  const std::vector<obs::SpanStats> profile = obs::span_path_profile(
+      {span_record(2, 1, "b", 0.5), span_record(1, 0, "a", 1.5)});
+  const Json spans_json = obs::span_profile_to_json(profile);
   ASSERT_EQ(spans_json.as_array().size(), 2u);
   EXPECT_EQ(spans_json.as_array()[0].at("path").as_string(), "a");
   EXPECT_DOUBLE_EQ(spans_json.as_array()[1].at("total_s").as_number(), 0.5);
   std::ostringstream span_table;
-  obs::print_span_table(obs::spans().profile(), span_table);
+  obs::print_span_table(profile, span_table);
   EXPECT_NE(span_table.str().find("  b"), std::string::npos);  // indented child
 }
 

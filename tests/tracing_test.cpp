@@ -1,10 +1,10 @@
 // Structured tracing and the flight recorder: deterministic span trees with
 // seeded ids and an injected clock, ring wrap/overflow accounting, sampling,
 // multi-threaded producers against a concurrent collector, the exporters
-// (Chrome trace-event JSON, span JSONL, latency attribution), histogram
-// exemplars, and the black-box dump paths (log/span/metric buffering,
-// dump-on-refresh-rejection with a seeded fault plan, six-stage refresh
-// span parentage).
+// (Chrome trace-event JSON, span JSONL, latency attribution, the per-path
+// profile), histogram exemplars, and the black-box dump paths
+// (log/span/metric buffering, dump-on-refresh-rejection with a seeded fault
+// plan, six-stage refresh span parentage).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -479,6 +479,68 @@ TEST(TraceExport, AttributionSubtractsDirectChildrenFromSelfTime) {
   obs::print_attribution_table(rows, table);
   EXPECT_NE(table.str().find("stage.parent"), std::string::npos);
   EXPECT_NE(table.str().find("self"), std::string::npos);
+}
+
+/// A completed span on `thread` for the path-profile goldens.
+obs::SpanRecord path_span(std::uint64_t id, std::uint64_t parent,
+                          std::string name, double start_s, double end_s,
+                          std::uint32_t thread) {
+  obs::SpanRecord record;
+  record.trace_id = 0xF00D;
+  record.span_id = id;
+  record.parent_id = parent;
+  record.name = std::move(name);
+  record.start_s = start_s;
+  record.end_s = end_s;
+  record.thread = thread;
+  return record;
+}
+
+TEST(TraceExport, PathProfileFollowsParentChainsOnEachThread) {
+  // Drain order: per thread, children complete before their parents.
+  const std::vector<obs::SpanRecord> forest = {
+      // thread 0, first trace: parent{fit, validate{fit}}
+      path_span(2, 1, "stage.fit", 11.0, 14.0, 0),
+      path_span(4, 3, "stage.fit", 14.5, 15.5, 0),
+      path_span(3, 1, "stage.validate", 14.0, 16.0, 0),
+      path_span(1, 0, "stage.parent", 10.0, 20.0, 0),
+      // thread 0, second trace: parent{fit}
+      path_span(6, 5, "stage.fit", 31.0, 33.0, 0),
+      path_span(5, 0, "stage.parent", 30.0, 34.0, 0),
+      // thread 1: a root, and a span whose parent ran on thread 0 — both
+      // start their own paths.
+      path_span(7, 0, "stage.fit", 12.0, 12.5, 1),
+      path_span(8, 1, "stage.validate", 13.0, 13.25, 1),
+  };
+  const std::vector<obs::SpanStats> profile = obs::span_path_profile(forest);
+
+  struct Row {
+    const char* path;
+    std::uint64_t calls;
+    double total_s, min_s, max_s;
+  };
+  const Row golden[] = {
+      {"stage.fit", 1, 0.5, 0.5, 0.5},
+      {"stage.parent", 2, 14.0, 4.0, 10.0},
+      {"stage.parent/stage.fit", 2, 5.0, 2.0, 3.0},
+      {"stage.parent/stage.validate", 1, 2.0, 2.0, 2.0},
+      {"stage.parent/stage.validate/stage.fit", 1, 1.0, 1.0, 1.0},
+      {"stage.validate", 1, 0.25, 0.25, 0.25},
+  };
+  ASSERT_EQ(profile.size(), std::size(golden));
+  for (std::size_t i = 0; i < profile.size(); ++i) {
+    SCOPED_TRACE(golden[i].path);
+    EXPECT_EQ(profile[i].path, golden[i].path);
+    EXPECT_EQ(profile[i].calls, golden[i].calls);
+    EXPECT_EQ(profile[i].total_s, golden[i].total_s);
+    EXPECT_EQ(profile[i].min_s, golden[i].min_s);
+    EXPECT_EQ(profile[i].max_s, golden[i].max_s);
+  }
+
+  std::ostringstream table;
+  obs::print_span_table(profile, table);
+  EXPECT_NE(table.str().find("\n    stage.fit "), std::string::npos)
+      << table.str();  // depth 2: four spaces of indentation
 }
 
 // -------------------------------------------------------------- exemplars

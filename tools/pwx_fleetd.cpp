@@ -306,26 +306,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto u64 = [&]() {
-      const auto value = parse_u64(next());
-      if (!value) {
+    const auto value = [&](auto parsed) {
+      if (!parsed) {
         std::exit(usage(argv[0]));
       }
-      return *value;
-    };
-    const auto real = [&]() {
-      const auto value = parse_double(next());
-      if (!value) {
-        std::exit(usage(argv[0]));
-      }
-      return *value;
+      return *parsed;
     };
     const auto u32 = [&]() {
-      const std::uint64_t value = u64();
-      if (value > std::numeric_limits<std::uint32_t>::max()) {
+      const std::uint64_t parsed = value(parse_u64(next()));
+      if (parsed > std::numeric_limits<std::uint32_t>::max()) {
         std::exit(usage(argv[0]));
       }
-      return static_cast<std::uint32_t>(value);
+      return static_cast<std::uint32_t>(parsed);
     };
     if (arg == "--leaf") {
       leaf_mode = true;
@@ -339,13 +331,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--shards") {
-      shards = u64();
+      shards = value(parse_u64(next()));
     } else if (arg == "--nodes") {
-      node_count = u64();
+      node_count = value(parse_u64(next()));
     } else if (arg == "--rounds") {
-      rounds = u64();
+      rounds = value(parse_u64(next()));
     } else if (arg == "--interval-s") {
-      interval_s = real();
+      interval_s = value(parse_double(next()));
     } else if (arg == "--spool") {
       spool = next();
     } else {

@@ -14,11 +14,15 @@
 //               [--log-json] [--spans] [--fleet N]
 //               [--trace] [--trace-replay FILE]
 //
-// With --trace a structured tracing session (obs/trace.hpp) runs for the
-// whole stream: every sample is wrapped in a "monitor.sample" root span,
-// drained span records stream to stdout as {"event":"span",...} JSONL
-// interleaved with the estimate lines, and a per-span latency attribution
-// table (total/self time per span name) lands on stderr at the end.
+// --spans and --trace open one tracing session (obs/trace.hpp) for the
+// whole run, model training included; every sample is wrapped in a
+// "monitor.sample" root span. Spans are drained before every telemetry
+// flush. With --spans each flush appends the per-path span profile of
+// everything recorded so far. With --trace drained span records stream to
+// stdout as {"event":"span",...} JSONL interleaved with the estimate lines,
+// and a per-span latency attribution table (total/self time per span name)
+// lands on stderr at the end. Either way the session's span and dropped-span
+// counts go to stderr when it ends.
 // --trace-replay FILE skips the live stream entirely: it parses a recorded
 // span JSONL file (e.g. a --trace capture) and prints the same attribution
 // table to stdout, for offline "which stage owns the latency" analysis.
@@ -56,7 +60,6 @@
 #include "fault/fault.hpp"
 #include "host/faulty_source.hpp"
 #include "host/sim_source.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -154,20 +157,62 @@ int run_trace_replay(const char* path) {
   return 0;
 }
 
-// Stream freshly drained span records as JSONL and keep them for the final
-// attribution table.
-void drain_spans(std::vector<pwx::obs::SpanRecord>& all) {
-  for (pwx::obs::SpanRecord& record : pwx::obs::tracer().drain()) {
-    std::cout << pwx::obs::span_to_jsonl_line(record) << "\n";
-    all.push_back(std::move(record));
+// One tracer session behind --spans and --trace. Spans are drained before
+// every sink flush and kept: --spans hands them to the sink, which appends
+// their path profile; --trace streams each drained span as a JSONL line and
+// prints the latency attribution table at the end.
+class SpanCollector {
+public:
+  SpanCollector(bool profile, bool stream) : profile_(profile), stream_(stream) {
+    if (profile_ || stream_) {
+      pwx::obs::TracerConfig config;
+      config.ring_capacity = 8192;
+      pwx::obs::tracer().start(config);
+    }
   }
-}
+
+  // Drain the rings (empty without a session) ahead of a sink flush; the
+  // return value is the sink's span argument.
+  const std::vector<pwx::obs::SpanRecord>* drain() {
+    for (pwx::obs::SpanRecord& record : pwx::obs::tracer().drain()) {
+      if (stream_) {
+        std::cout << pwx::obs::span_to_jsonl_line(record) << "\n";
+      }
+      records_.push_back(std::move(record));
+    }
+    return profile_ ? &records_ : nullptr;
+  }
+
+  // End the session. Rings are bounded, so the spans they dropped are
+  // reported: a profile missing them would silently undercount.
+  void finish() {
+    if (!profile_ && !stream_) {
+      return;
+    }
+    pwx::obs::tracer().stop();
+    drain();
+    std::fprintf(stderr, "monitor: tracer session ended (%zu spans, %llu dropped)\n",
+                 records_.size(),
+                 static_cast<unsigned long long>(
+                     pwx::obs::tracer().stats().spans_dropped));
+    if (stream_) {
+      pwx::obs::print_attribution_table(pwx::obs::attribute_latency(records_),
+                                        std::cerr);
+    }
+  }
+
+private:
+  bool profile_;
+  bool stream_;
+  std::vector<pwx::obs::SpanRecord> records_;
+};
 
 // Fleet mode: N simulated nodes through one FleetEstimator, one batch
 // ingest and one snapshot line per telemetry round.
 int run_fleet(pwx::core::PowerModel model, std::size_t fleet_nodes,
               const pwx::workloads::Workload& workload, std::size_t threads,
-              std::size_t max_rounds, pwx::obs::TelemetrySink& sink) {
+              std::size_t max_rounds, pwx::obs::TelemetrySink& sink,
+              SpanCollector& spans) {
   using namespace pwx;
   core::FleetOptions options;
   options.shard_count = 8;
@@ -230,9 +275,9 @@ int run_fleet(pwx::core::PowerModel model, std::size_t fleet_nodes,
       line["max_node_watts"] = snap.max_node_watts;
     }
     std::cout << line.dump(-1) << "\n";
-    sink.maybe_flush(stream_t);
+    sink.maybe_flush(stream_t, spans.drain());
   }
-  sink.flush(stream_t);
+  sink.flush(stream_t, spans.drain());
   log_message(LogLevel::Info, "fleet stream finished",
               {{"nodes", std::to_string(fleet_nodes)},
                {"rounds", std::to_string(rounds)},
@@ -268,28 +313,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto u64 = [&]() {
-      const auto value = parse_u64(next());
-      if (!value) {
+    const auto value = [&](auto parsed) {
+      if (!parsed) {
         std::exit(usage(argv[0]));
       }
-      return *value;
-    };
-    const auto real = [&]() {
-      const auto value = parse_double(next());
-      if (!value) {
-        std::exit(usage(argv[0]));
-      }
-      return *value;
+      return *parsed;
     };
     if (arg == "--workload") {
       workload_name = next();
     } else if (arg == "--threads") {
-      threads = u64();
+      threads = value(parse_u64(next()));
     } else if (arg == "--samples") {
-      max_samples = u64();
+      max_samples = value(parse_u64(next()));
     } else if (arg == "--interval-s") {
-      interval_s = real();
+      interval_s = value(parse_double(next()));
     } else if (arg == "--format") {
       const std::string v = next();
       if (v == "jsonl") {
@@ -302,9 +339,9 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--faults") {
-      fault_seed = u64();
+      fault_seed = value(parse_u64(next()));
     } else if (arg == "--intensity") {
-      intensity = real();
+      intensity = value(parse_double(next()));
     } else if (arg == "--no-robust") {
       robust = false;
     } else if (arg == "--log-json") {
@@ -318,7 +355,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--aggregate") {
       aggregate_file = next();
     } else if (arg == "--fleet") {
-      fleet_nodes = u64();
+      fleet_nodes = value(parse_u64(next()));
     } else {
       return usage(argv[0]);
     }
@@ -336,12 +373,7 @@ int main(int argc, char** argv) {
     }
 
     obs::set_enabled(true);
-    std::vector<obs::SpanRecord> recorded;
-    if (trace) {
-      obs::TracerConfig tracer_config;
-      tracer_config.ring_capacity = 8192;
-      obs::tracer().start(tracer_config);
-    }
+    SpanCollector collector(spans, trace);
 
     const auto workload = workloads::find_workload(workload_name);
     if (!workload) {
@@ -365,16 +397,10 @@ int main(int argc, char** argv) {
       obs::TelemetrySinkConfig sink_config;
       sink_config.interval_s = interval_s;
       sink_config.format = format;
-      sink_config.include_spans = spans;
       obs::TelemetrySink sink(std::cout, sink_config);
       const int rc = run_fleet(std::move(model), fleet_nodes, *workload,
-                               threads, max_samples, sink);
-      if (trace) {
-        drain_spans(recorded);
-        obs::tracer().stop();
-        obs::print_attribution_table(obs::attribute_latency(recorded),
-                                     std::cerr);
-      }
+                               threads, max_samples, sink, collector);
+      collector.finish();
       return rc;
     }
 
@@ -407,7 +433,6 @@ int main(int argc, char** argv) {
     obs::TelemetrySinkConfig sink_config;
     sink_config.interval_s = interval_s;
     sink_config.format = format;
-    sink_config.include_spans = spans;
     obs::TelemetrySink sink(std::cout, sink_config);
 
     double stream_t = 0.0;
@@ -442,18 +467,10 @@ int main(int argc, char** argv) {
             std::string(core::health_name(hardened->health()));
       }
       std::cout << line.dump(-1) << "\n";
-      if (trace) {
-        drain_spans(recorded);
-      }
-      sink.maybe_flush(stream_t);
+      sink.maybe_flush(stream_t, collector.drain());
     }
-    sink.flush(stream_t);
-    if (trace) {
-      drain_spans(recorded);
-      obs::tracer().stop();
-      obs::print_attribution_table(obs::attribute_latency(recorded),
-                                   std::cerr);
-    }
+    sink.flush(stream_t, collector.drain());
+    collector.finish();
 
     log_message(LogLevel::Info, "stream finished",
                 {{"samples", std::to_string(produced)},

@@ -23,32 +23,21 @@
 #include "trace/serialize.hpp"
 #include "workloads/registry.hpp"
 
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <workload> <out.otf2l> [freq_ghz] [threads] "
-               "[EVENT ...]\n  workloads: ",
-               argv0);
-  for (const auto& w : pwx::workloads::all_workloads()) {
-    std::fprintf(stderr, "%s ", w.name.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace pwx;
-  if (argc < 3) {
-    return usage(argv[0]);
-  }
   const std::optional<double> ghz = argc > 3 ? parse_double(argv[3]) : 2.4;
   const std::optional<std::uint64_t> threads =
       argc > 4 ? parse_u64(argv[4]) : 24;
-  if (!ghz || *ghz <= 0.0 || !threads || *threads == 0) {
-    return usage(argv[0]);
+  if (argc < 3 || !ghz || *ghz <= 0.0 || !threads || *threads == 0) {
+    std::fprintf(stderr,
+                 "usage: %s <workload> <out.otf2l> [freq_ghz] [threads] "
+                 "[EVENT ...]\n  workloads: ",
+                 argv[0]);
+    for (const auto& w : workloads::all_workloads()) {
+      std::fprintf(stderr, "%s ", w.name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
   }
   try {
     const auto workload = workloads::find_workload(argv[1]);
