@@ -5,6 +5,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace pwx {
@@ -32,5 +34,22 @@ std::string format_double(double value, int precision);
 /// the strict counterpart of strtod/strtoull for command-line values.
 std::optional<double> parse_double(std::string_view text);
 std::optional<std::uint64_t> parse_u64(std::string_view text);
+
+/// Store a parsed command-line value in `out`; false, leaving `out`
+/// untouched, when the text did not parse or the value does not fit `Out`.
+/// The tools stop parsing on false and print their usage text.
+template <typename T, typename Out>
+bool assign(const std::optional<T>& value, Out& out) {
+  if (!value) {
+    return false;
+  }
+  if constexpr (std::is_integral_v<T> && std::is_integral_v<Out>) {
+    if (!std::in_range<Out>(*value)) {
+      return false;
+    }
+  }
+  out = static_cast<Out>(*value);
+  return true;
+}
 
 }  // namespace pwx

@@ -64,7 +64,7 @@ double guarded_fold_raw(double smoothing, const EstimatorGuards& guards,
     state.last_good = out;
     if (telemetry) {
       // Unguarded instrument ops: the one enabled() check above covers the
-      // whole block, so the steady-state cost is a single atomic increment.
+      // whole block, so the steady-state cost is one counter-cell store.
       EstimatorMetrics& m = estimator_metrics();
       m.estimates.add_unguarded(1);
       if (clamped != raw) {

@@ -10,6 +10,11 @@ namespace pwx::obs {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
+
+std::size_t next_counter_cell() {
+  static std::atomic<std::size_t> next{0};  // NOLINT: process-wide thread count
+  return std::min(next.fetch_add(1, std::memory_order_relaxed), Counter::kCells - 1);
+}
 }  // namespace detail
 
 namespace {

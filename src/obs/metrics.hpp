@@ -27,7 +27,9 @@
 // (Prometheus: dots -> underscores, "pwx_" prefix, "_total" counter suffix).
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -48,9 +50,19 @@ extern std::atomic<bool> g_enabled;
 inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on);
 
-/// Monotonic counter.
+namespace detail {
+/// Counter cell index for a new thread, saturating at the shared last cell.
+std::size_t next_counter_cell();
+}  // namespace detail
+
+/// Monotonic counter. Each thread adds into a cell of its own with a relaxed
+/// load and store, so an increment takes no locked read-modify-write; value()
+/// sums the cells. Threads past the exclusive cells share the last cell
+/// through fetch_add, so the count stays exact for any number of threads.
 class Counter {
 public:
+  static constexpr std::size_t kCells = 64;
+
   void add(std::uint64_t n = 1) {
     if (enabled()) {
       add_unguarded(n);
@@ -59,13 +71,31 @@ public:
   /// Increment without the enabled() gate — for hot paths that hoist one
   /// enabled() check over several instrument operations.
   void add_unguarded(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    thread_local const std::size_t cell = detail::next_counter_cell();
+    if (cell + 1 < kCells) {
+      cells_[cell].store(cells_[cell].load(std::memory_order_relaxed) + n,
+                         std::memory_order_relaxed);
+    } else {
+      cells_[cell].fetch_add(n, std::memory_order_relaxed);
+    }
   }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  std::uint64_t value() const {
+    std::uint64_t sum = 0;
+    for (const std::atomic<std::uint64_t>& cell : cells_) {
+      sum += cell.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  /// Zero the count. Meant for quiescent points: an add() racing with the
+  /// reset may store its cell's pre-reset value back.
+  void reset() {
+    for (std::atomic<std::uint64_t>& cell : cells_) {
+      cell.store(0, std::memory_order_relaxed);
+    }
+  }
 
 private:
-  std::atomic<std::uint64_t> value_{0};
+  std::array<std::atomic<std::uint64_t>, kCells> cells_{};
 };
 
 /// Last-value gauge.

@@ -18,17 +18,16 @@
 //     or JSON, e.g. by pwx-monitor --spans.
 //   * attribute_latency — per-name total and self time.
 //
-// Overhead: with no session and no flight recorder a span costs one relaxed
-// load at construction and one branch at destruction; no clock is read and
-// nothing is locked. Spans are for pipeline stages (runs, folds, selection
-// steps), not per-sample hot paths.
+// Overhead: with no session and no flight recorder a span costs two
+// out-of-line calls (constructor and destructor, defined in obs/trace.cpp),
+// one relaxed load and one branch; no clock is read and nothing is locked.
+// Spans are for pipeline stages (runs, folds, selection steps), not
+// per-sample hot paths.
 #pragma once
 
-#include <chrono>
 #include <string_view>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace pwx::obs {
 
@@ -37,16 +36,8 @@ namespace pwx::obs {
 /// thread's parent stack.
 class Span {
 public:
-  explicit Span(std::string_view name) {
-    if (tracing_active()) {
-      traced_ = trace_detail::begin_span(name);
-    }
-  }
-  ~Span() {
-    if (traced_) {
-      trace_detail::end_span();
-    }
-  }
+  explicit Span(std::string_view name);
+  ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
@@ -56,11 +47,7 @@ private:
 
 /// Monotonic wall clock in seconds (steady_clock); the time base all obs
 /// timings share.
-inline double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+double monotonic_s();
 
 /// RAII duration recorder into a Histogram, for sites that want a latency
 /// distribution rather than a trace scope. Inactive (one branch each way, no

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -233,6 +234,24 @@ void span_attr(std::string_view key, std::uint64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
   span_attr(key, std::string_view(buf));
+}
+
+double monotonic_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+Span::Span(std::string_view name) {
+  if (tracing_active()) {
+    traced_ = trace_detail::begin_span(name);
+  }
+}
+
+Span::~Span() {
+  if (traced_) {
+    trace_detail::end_span();
+  }
 }
 
 std::string format_span_id(std::uint64_t id) {

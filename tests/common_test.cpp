@@ -241,6 +241,20 @@ TEST(Strings, ParseNumbersStrictly) {
   }
 }
 
+TEST(Strings, AssignStoresOnlyValuesThatFit) {
+  double ghz = 2.4;
+  EXPECT_TRUE(assign(parse_double("3.5"), ghz));
+  EXPECT_EQ(ghz, 3.5);
+  EXPECT_FALSE(assign(parse_double("abc"), ghz));
+  EXPECT_EQ(ghz, 3.5);
+  std::uint32_t leaves = 7;
+  EXPECT_TRUE(assign(parse_u64("4294967295"), leaves));
+  EXPECT_EQ(leaves, UINT32_MAX);
+  EXPECT_FALSE(assign(parse_u64("4294967296"), leaves));
+  EXPECT_FALSE(assign(parse_u64("-1"), leaves));
+  EXPECT_EQ(leaves, UINT32_MAX);
+}
+
 // ---------------------------------------------------------------- csv
 
 TEST(Csv, PlainFieldsUnquoted) {

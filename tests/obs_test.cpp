@@ -168,6 +168,30 @@ TEST_F(ObsTest, ConcurrentUpdatesLoseNothing) {
   EXPECT_NEAR(snap.sum, kThreads / 2 * kIters * (0.25 + 0.75), 1e-6);
 }
 
+// Twice as many live threads as a counter has cells: the late threads share
+// the last cell, and the count still loses nothing.
+TEST_F(ObsTest, CounterStaysExactPastItsThreadCells) {
+  obs::MetricRegistry reg;
+  obs::Counter& c = reg.counter("hits");
+  constexpr std::size_t kThreads = 2 * obs::Counter::kCells;
+  constexpr std::uint64_t kIters = 2000;
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kIters; ++i) {
+        c.add(1);
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(c.value(), kThreads * kIters);
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+}
+
 TEST_F(ObsTest, ConcurrentRegistrationReturnsOneHandlePerName) {
   obs::MetricRegistry reg;
   constexpr int kThreads = 8;

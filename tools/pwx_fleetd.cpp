@@ -43,7 +43,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -297,7 +296,8 @@ int main(int argc, char** argv) {
   double interval_s = 1.0;
   std::string spool;
 
-  for (int i = 1; i < argc; ++i) {
+  bool parsed = true;  // every numeric value parsed and fit its option
+  for (int i = 1; i < argc && parsed; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -306,24 +306,11 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto value = [&](auto parsed) {
-      if (!parsed) {
-        std::exit(usage(argv[0]));
-      }
-      return *parsed;
-    };
-    const auto u32 = [&]() {
-      const std::uint64_t parsed = value(parse_u64(next()));
-      if (parsed > std::numeric_limits<std::uint32_t>::max()) {
-        std::exit(usage(argv[0]));
-      }
-      return static_cast<std::uint32_t>(parsed);
-    };
     if (arg == "--leaf") {
       leaf_mode = true;
-      leaf_index = u32();
+      parsed = assign(parse_u64(next()), leaf_index);
     } else if (arg == "--leaves") {
-      leaf_count = u32();
+      parsed = assign(parse_u64(next()), leaf_count);
     } else if (arg == "--flat") {
       flat_mode = true;
     } else if (arg == "--aggregate") {
@@ -331,20 +318,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--shards") {
-      shards = value(parse_u64(next()));
+      parsed = assign(parse_u64(next()), shards);
     } else if (arg == "--nodes") {
-      node_count = value(parse_u64(next()));
+      parsed = assign(parse_u64(next()), node_count);
     } else if (arg == "--rounds") {
-      rounds = value(parse_u64(next()));
+      parsed = assign(parse_u64(next()), rounds);
     } else if (arg == "--interval-s") {
-      interval_s = value(parse_double(next()));
+      parsed = assign(parse_double(next()), interval_s);
     } else if (arg == "--spool") {
       spool = next();
     } else {
       return usage(argv[0]);
     }
   }
-  if (interval_s < 0.0) {
+  if (!parsed || interval_s < 0.0) {
     return usage(argv[0]);
   }
 

@@ -269,16 +269,6 @@ private:
   std::vector<core::HealthState> health_;
 };
 
-/// Store a strictly parsed flag value; false (leaving `out` untouched) when
-/// the text was empty, out of range or not wholly a number.
-template <typename T, typename Out>
-bool assign(const std::optional<T>& value, Out& out) {
-  if (value) {
-    out = *value;
-  }
-  return value.has_value();
-}
-
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -310,7 +300,8 @@ int main(int argc, char** argv) {
   drift.window_size = 32;
   drift.max_mape_pct = 5.0;
 
-  for (int i = 1; i < argc; ++i) {
+  bool parsed = true;  // every numeric value parsed and fit its option
+  for (int i = 1; i < argc && parsed; ++i) {
     if (std::strcmp(argv[i], "--once") == 0) {
       once = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
@@ -324,27 +315,17 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
       options.campaign.verify_checksum = false;
     } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
-      if (!assign(parse_double(argv[++i]), interval_s)) {
-        return usage(argv[0]);
-      }
+      parsed = assign(parse_double(argv[++i]), interval_s);
     } else if (std::strcmp(argv[i], "--polls") == 0 && i + 1 < argc) {
-      if (!assign(parse_u64(argv[++i]), max_polls)) {
-        return usage(argv[0]);
-      }
+      parsed = assign(parse_u64(argv[++i]), max_polls);
     } else if (std::strcmp(argv[i], "--refresh-window") == 0 && i + 1 < argc) {
-      if (!assign(parse_u64(argv[++i]), drift.window_size)) {
-        return usage(argv[0]);
-      }
+      parsed = assign(parse_u64(argv[++i]), drift.window_size);
     } else if (std::strcmp(argv[i], "--refresh-mape") == 0 && i + 1 < argc) {
-      if (!assign(parse_double(argv[++i]), drift.max_mape_pct)) {
-        return usage(argv[0]);
-      }
+      parsed = assign(parse_double(argv[++i]), drift.max_mape_pct);
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-sample") == 0 && i + 1 < argc) {
-      if (!assign(parse_u64(argv[++i]), trace_sample)) {
-        return usage(argv[0]);
-      }
+      parsed = assign(parse_u64(argv[++i]), trace_sample);
     } else if (std::strcmp(argv[i], "--flight-recorder") == 0 && i + 1 < argc) {
       flight_path = argv[++i];
     } else if (directory == nullptr && argv[i][0] != '-') {
@@ -353,8 +334,8 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (directory == nullptr || interval_s < 0 || drift.window_size == 0 ||
-      drift.max_mape_pct <= 0 || trace_sample == 0) {
+  if (!parsed || directory == nullptr || interval_s < 0 ||
+      drift.window_size == 0 || drift.max_mape_pct <= 0 || trace_sample == 0) {
     return usage(argv[0]);
   }
 

@@ -304,7 +304,8 @@ int main(int argc, char** argv) {
   const char* aggregate_file = nullptr;
   std::size_t fleet_nodes = 0;  // 0 = single-node mode
 
-  for (int i = 1; i < argc; ++i) {
+  bool parsed = true;  // every numeric value parsed and fit its option
+  for (int i = 1; i < argc && parsed; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -313,20 +314,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    const auto value = [&](auto parsed) {
-      if (!parsed) {
-        std::exit(usage(argv[0]));
-      }
-      return *parsed;
-    };
     if (arg == "--workload") {
       workload_name = next();
     } else if (arg == "--threads") {
-      threads = value(parse_u64(next()));
+      parsed = assign(parse_u64(next()), threads);
     } else if (arg == "--samples") {
-      max_samples = value(parse_u64(next()));
+      parsed = assign(parse_u64(next()), max_samples);
     } else if (arg == "--interval-s") {
-      interval_s = value(parse_double(next()));
+      parsed = assign(parse_double(next()), interval_s);
     } else if (arg == "--format") {
       const std::string v = next();
       if (v == "jsonl") {
@@ -339,9 +334,9 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--faults") {
-      fault_seed = value(parse_u64(next()));
+      parsed = assign(parse_u64(next()), fault_seed.emplace());
     } else if (arg == "--intensity") {
-      intensity = value(parse_double(next()));
+      parsed = assign(parse_double(next()), intensity);
     } else if (arg == "--no-robust") {
       robust = false;
     } else if (arg == "--log-json") {
@@ -355,12 +350,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--aggregate") {
       aggregate_file = next();
     } else if (arg == "--fleet") {
-      fleet_nodes = value(parse_u64(next()));
+      parsed = assign(parse_u64(next()), fleet_nodes);
     } else {
       return usage(argv[0]);
     }
   }
-  if (threads == 0 || interval_s < 0.0 || intensity < 0.0) {
+  if (!parsed || threads == 0 || interval_s < 0.0 || intensity < 0.0) {
     return usage(argv[0]);
   }
 

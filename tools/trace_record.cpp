@@ -11,7 +11,7 @@
 // Events default to the six counters a standard selection run picks; any
 // PAPI preset names (with or without the PAPI_ prefix) are accepted.
 #include <cstdio>
-#include <optional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -25,10 +25,11 @@
 
 int main(int argc, char** argv) {
   using namespace pwx;
-  const std::optional<double> ghz = argc > 3 ? parse_double(argv[3]) : 2.4;
-  const std::optional<std::uint64_t> threads =
-      argc > 4 ? parse_u64(argv[4]) : 24;
-  if (argc < 3 || !ghz || *ghz <= 0.0 || !threads || *threads == 0) {
+  double ghz = 2.4;
+  std::size_t threads = 24;
+  if (argc < 3 || (argc > 3 && !assign(parse_double(argv[3]), ghz)) ||
+      (argc > 4 && !assign(parse_u64(argv[4]), threads)) || ghz <= 0.0 ||
+      threads == 0) {
     std::fprintf(stderr,
                  "usage: %s <workload> <out.otf2l> [freq_ghz] [threads] "
                  "[EVENT ...]\n  workloads: ",
@@ -46,8 +47,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     sim::RunConfig rc;
-    rc.frequency_ghz = *ghz;
-    rc.threads = *threads;
+    rc.frequency_ghz = ghz;
+    rc.threads = threads;
     rc.interval_s = 0.1;
 
     std::vector<pmc::Preset> events;
