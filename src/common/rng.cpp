@@ -73,15 +73,22 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::lognormal_mean_cv(double mean, double cv) {
-  PWX_REQUIRE(mean > 0.0 && cv >= 0.0, "lognormal needs mean > 0, cv >= 0, got mean=",
-              mean, " cv=", cv);
-  if (cv == 0.0) {
+Rng::LognormalShape Rng::lognormal_shape(double cv) {
+  PWX_REQUIRE(cv >= 0.0, "lognormal needs cv >= 0, got cv=", cv);
+  const double sigma2 = std::log(1.0 + cv * cv);
+  return {std::sqrt(sigma2), 0.5 * sigma2};
+}
+
+double Rng::lognormal(double mean, LognormalShape shape) {
+  PWX_REQUIRE(mean > 0.0, "lognormal needs mean > 0, got mean=", mean);
+  if (shape.sigma == 0.0) {
     return mean;
   }
-  const double sigma2 = std::log(1.0 + cv * cv);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(mu + std::sqrt(sigma2) * normal());
+  return std::exp(std::log(mean) - shape.half_sigma2 + shape.sigma * normal());
+}
+
+double Rng::lognormal_mean_cv(double mean, double cv) {
+  return lognormal(mean, lognormal_shape(cv));
 }
 
 Rng Rng::fork() {

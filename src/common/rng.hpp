@@ -45,6 +45,22 @@ public:
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
+  /// Shape of a log-normal with coefficient of variation cv:
+  /// σ = sqrt(log(1 + cv²)) and σ²/2. Depends on cv only, so a caller that
+  /// draws many variates with one cv computes it once.
+  struct LognormalShape {
+    double sigma = 0.0;
+    double half_sigma2 = 0.0;
+  };
+
+  /// Shape for `cv` (cv >= 0). cv == 0, and any cv whose cv² vanishes
+  /// next to 1 (cv < ~1e-8), gives σ == 0: a point mass.
+  static LognormalShape lognormal_shape(double cv);
+
+  /// Log-normal with mean `mean` (> 0) and the given shape. σ == 0 returns
+  /// `mean` and consumes no normal from the stream.
+  double lognormal(double mean, LognormalShape shape);
+
   /// Log-normal such that the *mean* of the distribution is `mean` and the
   /// coefficient of variation is `cv`. Handy for strictly positive noise.
   double lognormal_mean_cv(double mean, double cv);

@@ -76,11 +76,12 @@ pmc::ActivityCounts generate_core_activity(const workloads::PhaseCharacter& c,
   // floors reflect that even the steadiest kernel shows ~1.5 % run-to-run
   // variation on real hardware (interrupts, placement, DVFS transients).
   const double intensity =
-      rng.lognormal_mean_cv(1.0, std::max(0.012, c.variability_cv));
+      rng.lognormal(1.0, Rng::lognormal_shape(std::max(0.012, c.variability_cv)));
   // Independent per-counter jitter on top (sampling alignment, OS noise).
-  const double jitter_cv = std::max(0.008, 0.3 * c.variability_cv);
+  const Rng::LognormalShape jitter_shape =
+      Rng::lognormal_shape(std::max(0.008, 0.3 * c.variability_cv));
   auto jitter = [&](double value) {
-    return value <= 0.0 ? 0.0 : rng.lognormal_mean_cv(value, jitter_cv);
+    return value <= 0.0 ? 0.0 : rng.lognormal(value, jitter_shape);
   };
 
   const double hz = frequency_ghz * 1e9;

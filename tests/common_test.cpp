@@ -41,6 +41,40 @@ TEST(Error, HierarchyIsCatchableAsBase) {
 
 // ---------------------------------------------------------------- rng
 
+/// The log-normal as drawn before its shape was hoisted out of the draw:
+/// exp(log(mean) − σ²/2 + σz) with σ² = log(1 + cv²).
+double lognormal_oracle(double mean, double cv, double z) {
+  const double sigma2 = std::log(1.0 + cv * cv);
+  return std::exp(std::log(mean) - 0.5 * sigma2 + std::sqrt(sigma2) * z);
+}
+
+/// First 64 normal() outputs of Rng(0x5EED) from Box–Muller with the libm
+/// sin and cos of 2πu.
+constexpr double kNormalGolden[64] = {
+    0x1.ba55da98753c7p+0, -0x1.91b750132025bp+0, 0x1.e93f88ae63679p+0,
+    -0x1.39c02765f5f13p-2, -0x1.7fd2da8172e7dp+0, -0x1.085c5df2c5104p-2,
+    -0x1.81a798c656489p-1, 0x1.9a5ffb3eb5e71p-2, -0x1.6d4b14eefa509p-3,
+    -0x1.b819dce5d2e8bp+0, -0x1.21c1c90864a6ap-2, -0x1.1a55636201e8p-1,
+    -0x1.d687e75847ed5p-2, 0x1.28f7982c83725p+0, 0x1.831e73413b112p-6,
+    0x1.5e9eb4faf9e5ap+0, -0x1.471724cfe4c16p+0, -0x1.a6c514ddc54c8p-4,
+    0x1.5868c0a0d38bp-4, -0x1.adfd4784dd53fp-1, -0x1.e3b3cdb7d772cp-1,
+    0x1.2ba82aa6db147p-2, 0x1.141ee4da4cbcep-4, -0x1.28e23472d06fdp-3,
+    0x1.1f42331f2e431p-4, -0x1.903a3830dc54fp-5, 0x1.893bde6b20e0cp+0,
+    0x1.7ac78293321c9p+0, -0x1.5c49bf07bdbap-6, 0x1.a905442077cfap-1,
+    -0x1.23b16e7e68087p+0, -0x1.e7b7ae8fedcf5p-1, 0x1.5978671a27d84p-3,
+    0x1.c9af0edb21ae4p+0, -0x1.7f7abd5d283efp-2, 0x1.04938001f8a1ep+0,
+    0x1.c7924c6b291fep-4, -0x1.3a05e49aa9db8p+1, 0x1.e71158ed06fa5p-2,
+    0x1.b15fa0cbe17d2p-1, 0x1.d30022a077757p+0, -0x1.1918cbfa7229ap-2,
+    -0x1.60f70463720a2p+0, 0x1.b8cf9f03f74a3p+0, -0x1.1383767b5b7c7p-2,
+    0x1.446379f81e458p+0, 0x1.5eacfb5446022p-10, -0x1.51592649a7d75p-1,
+    0x1.8fcf4bc819fcp-2, 0x1.07acc683a5dedp-3, -0x1.ed6bf7ac64faep-1,
+    -0x1.2579b7785cce6p+0, 0x1.81fa3c4f74e31p+0, -0x1.162adaec25cf3p-1,
+    0x1.276ced55821b8p-1, -0x1.3196a8d5ab407p+1, -0x1.7d46949eb348ep-6,
+    0x1.0c7addfd4f782p+0, -0x1.9d2ddade50473p-3, 0x1.f30df98301d5ep-4,
+    0x1.b59eca77c7752p-1, 0x1.756c5bad4da44p-1, -0x1.1052fad707abp-1,
+    0x1.13cff74d36bc5p+0,
+};
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123);
   Rng b(123);
@@ -153,6 +187,41 @@ TEST(Rng, LognormalRejectsBadArguments) {
   Rng rng(17);
   EXPECT_THROW(rng.lognormal_mean_cv(0.0, 0.1), InvalidArgument);
   EXPECT_THROW(rng.lognormal_mean_cv(1.0, -0.1), InvalidArgument);
+  EXPECT_THROW(Rng::lognormal_shape(-0.1), InvalidArgument);
+  EXPECT_THROW(rng.lognormal(0.0, Rng::lognormal_shape(0.1)), InvalidArgument);
+}
+
+TEST(Rng, NormalStreamMatchesGolden) {
+  Rng rng(0x5EED);
+  for (const double golden : kNormalGolden) {
+    EXPECT_EQ(rng.normal(), golden);
+  }
+}
+
+TEST(Rng, LognormalMatchesUnhoistedFormula) {
+  // Two generators on one seed: `normals` hands the oracle the z that
+  // `draws` consumes inside lognormal().
+  for (const double cv : {0.008, 0.012, 0.05, 0.3}) {
+    const Rng::LognormalShape shape = Rng::lognormal_shape(cv);
+    Rng draws(31);
+    Rng normals(31);
+    for (int i = 0; i <= 1500; ++i) {
+      const double mean = std::pow(10.0, -3.0 + 0.01 * i);  // 1e-3 .. 1e12
+      const double oracle = lognormal_oracle(mean, cv, normals.normal());
+      EXPECT_EQ(draws.lognormal(mean, shape), oracle) << "mean=" << mean << " cv=" << cv;
+    }
+  }
+}
+
+TEST(Rng, ZeroCvDrawConsumesNoNormal) {
+  Rng rng(37);
+  Rng twin(37);
+  EXPECT_EQ(rng.lognormal_mean_cv(2.0, 0.0), 2.0);
+  EXPECT_EQ(rng.normal(), twin.normal());
+  // Same with the second half of a Box–Muller pair cached.
+  EXPECT_EQ(rng.lognormal(5.0, Rng::lognormal_shape(0.0)), 5.0);
+  EXPECT_EQ(rng.normal(), twin.normal());
+  EXPECT_EQ(rng.normal(), twin.normal());
 }
 
 TEST(Rng, ForkedStreamsDiffer) {
