@@ -84,7 +84,7 @@ double Rng::lognormal(double mean, LognormalShape shape) {
   if (shape.sigma == 0.0) {
     return mean;
   }
-  return std::exp(std::log(mean) - shape.half_sigma2 + shape.sigma * normal());
+  return mean * std::exp(shape.sigma * normal() - shape.half_sigma2);
 }
 
 double Rng::lognormal_mean_cv(double mean, double cv) {

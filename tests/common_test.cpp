@@ -41,8 +41,8 @@ TEST(Error, HierarchyIsCatchableAsBase) {
 
 // ---------------------------------------------------------------- rng
 
-/// The log-normal as drawn before its shape was hoisted out of the draw:
-/// exp(log(mean) − σ²/2 + σz) with σ² = log(1 + cv²).
+/// Oracle for Rng::lognormal: the textbook draw exp(log(mean) − σ²/2 + σz)
+/// with σ² = log(1 + cv²), which Rng evaluates as mean·exp(σz − σ²/2).
 double lognormal_oracle(double mean, double cv, double z) {
   const double sigma2 = std::log(1.0 + cv * cv);
   return std::exp(std::log(mean) - 0.5 * sigma2 + std::sqrt(sigma2) * z);
@@ -208,7 +208,8 @@ TEST(Rng, LognormalMatchesUnhoistedFormula) {
     for (int i = 0; i <= 1500; ++i) {
       const double mean = std::pow(10.0, -3.0 + 0.01 * i);  // 1e-3 .. 1e12
       const double oracle = lognormal_oracle(mean, cv, normals.normal());
-      EXPECT_EQ(draws.lognormal(mean, shape), oracle) << "mean=" << mean << " cv=" << cv;
+      EXPECT_NEAR(draws.lognormal(mean, shape), oracle, 1e-13 * oracle)
+          << "mean=" << mean << " cv=" << cv;
     }
   }
 }
