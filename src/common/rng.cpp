@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -12,6 +13,50 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+SinCos sincos_2pi(double u) {
+  // Quadrant k = round(4u), taken exactly on u. The remainder t ∈ [−π/4, π/4]
+  // comes from the rounded angle fl(2πu) that libm would be handed, less
+  // k·π/2 in two parts; k·kPio2Hi and the first subtraction are exact. So t
+  // tracks libm's own reduction to an ulp, and radius·sin stays within
+  // 1e-15·max(1, |z|) of the libm Box–Muller. Reducing 4u − k instead would
+  // drop the angle's rounding (up to 4.4e-16), which the radius multiplies
+  // past that bound.
+  constexpr double kPio2Hi = 1.57079632673412561417e+00;  // π/2 to 33 bits
+  constexpr double kPio2Lo = 6.07710050650619224932e-11;  // π/2 − kPio2Hi
+  const int k = static_cast<int>(4.0 * u + 0.5);
+  const double t = (2.0 * std::numbers::pi * u - k * kPio2Hi) - k * kPio2Lo;
+  const double z = t * t;
+  // Taylor polynomials through t^17 and t^16: truncation below 1e-17.
+  const double s =
+      t + t * z *
+              (-1.0 / 6 +
+               z * (1.0 / 120 +
+                    z * (-1.0 / 5040 +
+                         z * (1.0 / 362880 +
+                              z * (-1.0 / 39916800 +
+                                   z * (1.0 / 6227020800 +
+                                        z * (-1.0 / 1307674368000 +
+                                             z * (1.0 / 355687428096000))))))));
+  const double c =
+      1.0 + z * (-0.5 +
+                 z * (1.0 / 24 +
+                      z * (-1.0 / 720 +
+                           z * (1.0 / 40320 +
+                                z * (-1.0 / 3628800 +
+                                     z * (1.0 / 479001600 +
+                                          z * (-1.0 / 87178291200 +
+                                               z * (1.0 / 20922789888000))))))));
+  // Quadrant fix-up on the bits, because a random quadrant mispredicts a
+  // switch: odd k swaps sin and cos, k = 2, 3 negate sin, k = 1, 2 negate cos.
+  const auto sb = std::bit_cast<std::uint64_t>(s);
+  const auto cb = std::bit_cast<std::uint64_t>(c);
+  const std::uint64_t swap = 0 - static_cast<std::uint64_t>(k & 1);
+  const std::uint64_t sin_sign = static_cast<std::uint64_t>(k & 2) << 62;
+  const std::uint64_t cos_sign = static_cast<std::uint64_t>((k + 1) & 2) << 62;
+  return {std::bit_cast<double>(((sb & ~swap) | (cb & swap)) ^ sin_sign),
+          std::bit_cast<double>(((cb & ~swap) | (sb & swap)) ^ cos_sign)};
 }
 
 namespace {
@@ -65,10 +110,10 @@ double Rng::normal() {
   const double u1 = 1.0 - uniform();
   const double u2 = uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = radius * std::sin(angle);
+  const SinCos angle = sincos_2pi(u2);
+  cached_normal_ = radius * angle.sin;
   has_cached_normal_ = true;
-  return radius * std::cos(angle);
+  return radius * angle.cos;
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }

@@ -16,6 +16,16 @@ namespace pwx {
 /// splitmix64 step; used to expand a single seed into generator state.
 std::uint64_t splitmix64(std::uint64_t& state);
 
+struct SinCos {
+  double sin = 0.0;
+  double cos = 0.0;
+};
+
+/// sin(2πu) and cos(2πu) for u in [0, 1], Box–Muller's angle. Uses + and *
+/// alone, so the bits are the same on every host; both stay within 1e-15
+/// (in tests, one ulp) of std::sin and std::cos of 2πu.
+SinCos sincos_2pi(double u);
+
 /// xoshiro256** pseudo-random generator. Satisfies UniformRandomBitGenerator.
 class Rng {
 public:

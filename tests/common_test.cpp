@@ -1,7 +1,9 @@
 // Unit tests for the common module: RNG, strings, CSV, JSON, tables, errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <set>
 #include <sstream>
 
@@ -194,8 +196,28 @@ TEST(Rng, LognormalRejectsBadArguments) {
 TEST(Rng, NormalStreamMatchesGolden) {
   Rng rng(0x5EED);
   for (const double golden : kNormalGolden) {
-    EXPECT_EQ(rng.normal(), golden);
+    EXPECT_NEAR(rng.normal(), golden, 1e-15 * std::max(1.0, std::fabs(golden)));
   }
+}
+
+TEST(Rng, SinCos2PiMatchesLibm) {
+  double worst = 0.0;
+  auto check = [&](double u) {
+    const SinCos sc = sincos_2pi(u);
+    const double angle = 2.0 * std::numbers::pi * u;
+    worst = std::max({worst, std::fabs(sc.sin - std::sin(angle)),
+                      std::fabs(sc.cos - std::cos(angle))});
+  };
+  check(0.0);
+  for (int k = 1; k <= 8; ++k) {
+    check(k / 8.0);
+  }
+  check(1.0 - 0x1.0p-53);
+  Rng rng(41);
+  for (int i = 0; i < 1'000'000; ++i) {
+    check(rng.uniform());
+  }
+  EXPECT_LT(worst, 1e-15);
 }
 
 TEST(Rng, LognormalMatchesUnhoistedFormula) {
