@@ -2,6 +2,8 @@
 // substrate cost that bounds every reproduction experiment.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "acquire/campaign.hpp"
 #include "sim/engine.hpp"
 #include "workloads/registry.hpp"
@@ -36,6 +38,35 @@ void BM_CoreActivityGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoreActivityGeneration);
+
+// The per-core hot loop of generate_core_activity: one jitter shape per
+// core-interval, then 29 counter draws with it.
+void BM_LognormalJitter(benchmark::State& state) {
+  const auto workload = workloads::find_workload("bwaves");
+  const Rng::LognormalShape shape =
+      Rng::lognormal_shape(std::max(0.008, 0.3 * workload->phases[0].variability_cv));
+  const double mean = 1e6 * workload->phases[0].base_cpi;
+  Rng rng(7);
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int i = 0; i < 29; ++i) {
+      sum += rng.lognormal(mean, shape);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(29 * state.iterations());
+}
+BENCHMARK(BM_LognormalJitter);
+
+// One Box–Muller pair: a log, a sqrt and a sincos(2πu).
+void BM_NormalPair(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.normal());
+    benchmark::DoNotOptimize(rng.normal());
+  }
+}
+BENCHMARK(BM_NormalPair);
 
 void BM_GroundTruthEvaluation(benchmark::State& state) {
   const power::GroundTruthPower truth = power::GroundTruthPower::haswell_ep();
