@@ -200,6 +200,25 @@ TEST(Selection, CycleCounterInitializationStartsWithTotCyc) {
   EXPECT_EQ(result.steps[0].event, pmc::Preset::TOT_CYC);
 }
 
+TEST(Selection, CycleCountersTieToRoundingAtFixedFrequency) {
+  // Characterization, not a rule: at the selection campaign's fixed 2.4 GHz,
+  // TOT_CYC and REF_CYC are exactly proportional, so their step-1 R² differ
+  // only by rounding and the first pick between them is decided by it. The
+  // test holds whichever of the two wins.
+  const Dataset& ds = acquire::standard_selection_dataset();
+  SelectionOptions one;
+  one.count = 1;
+  const double tot =
+      select_events(ds, {pmc::Preset::TOT_CYC}, one).steps[0].r_squared;
+  const double ref =
+      select_events(ds, {pmc::Preset::REF_CYC}, one).steps[0].r_squared;
+  EXPECT_LT(std::fabs(tot - ref), 1e-12);
+  const pmc::Preset first =
+      select_events(ds, pmc::haswell_ep_available_events(), one).steps[0].event;
+  EXPECT_TRUE(first == pmc::Preset::TOT_CYC || first == pmc::Preset::REF_CYC)
+      << pmc::preset_name(first);
+}
+
 TEST(Selection, VifVetoKeepsMeanVifBounded) {
   const Dataset& ds = acquire::standard_selection_dataset();
   SelectionOptions opt;
