@@ -22,7 +22,6 @@
 #include "core/fleet.hpp"
 #include "core/model.hpp"
 #include "fleet/delta.hpp"
-#include "fleet/tree.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -202,43 +201,6 @@ void BM_FleetSnapshotActiveInterned10M(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetSnapshotActiveInterned10M);
-
-// One telemetry round through the two-level tree (4 groups x 4 shards =
-// the same 16 global shards BM_FleetIngest's flat estimator uses): the
-// group counting sort plus per-group batch ingest. Bit-identical output to
-// the flat path, so the delta vs BM_FleetIngest IS the tree overhead.
-void BM_FleetTreeIngest(benchmark::State& state) {
-  obs::set_enabled(false);
-  const auto node_count = static_cast<std::size_t>(state.range(0));
-  fleet::TreeOptions options;
-  options.group_count = 4;
-  options.shards_per_group = 4;
-  fleet::FleetTree tree(fleet_model(), /*smoothing=*/0.2,
-                        /*staleness_horizon_s=*/1e12, options);
-  std::vector<fleet::TreeSample> batch(node_count);
-  for (std::size_t n = 0; n < node_count; ++n) {
-    const fleet::TreeNodeId id = tree.intern("node" + std::to_string(n));
-    batch[n].group = id.group;
-    batch[n].sample.node = id.local;
-    batch[n].sample.now_s = 0.0;
-    tree.layout().to_dense_guarded(sample_for_node(n), batch[n].sample.sample);
-  }
-  tree.ingest_batch(batch);  // registration round outside timing
-  double now = 0.0;
-  for (auto _ : state) {
-    now += 1.0;
-    for (fleet::TreeSample& ts : batch) {
-      ts.sample.now_s = now;
-    }
-    benchmark::DoNotOptimize(tree.ingest_batch(batch));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(node_count));
-}
-BENCHMARK(BM_FleetTreeIngest)
-    ->Arg(1000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
 
 // Shard-delta wire format: what a leaf daemon pays per publication round
 // (delta extraction + encode), what the aggregator pays per received frame

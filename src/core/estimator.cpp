@@ -50,6 +50,18 @@ double smooth_step(double smoothing, double raw, GuardedState& state) {
   return *state.smoothed;
 }
 
+/// The strict path's verdict is try_predict's: it throws on exactly the
+/// samples the guarded path would hold, so no NaN, infinite or
+/// out-of-domain estimate ever reaches a caller (or an energy total).
+double strict_predict(const ModelLayout& layout, const DenseSample& sample) {
+  const std::optional<double> raw = layout.try_predict(sample);
+  PWX_REQUIRE(raw.has_value(),
+              "invalid sample: elapsed time, frequency and voltage must be "
+              "finite and positive, every count finite and non-negative, "
+              "and the model output finite");
+  return *raw;
+}
+
 }  // namespace
 
 double guarded_fold_raw(double smoothing, const EstimatorGuards& guards,
@@ -234,20 +246,14 @@ void OnlineEstimator::maybe_adopt() {
 }
 
 double OnlineEstimator::estimate(const CounterSample& sample) {
-  PWX_REQUIRE(sample.elapsed_s > 0.0, "sample needs a positive elapsed time");
-  PWX_REQUIRE(sample.frequency_ghz > 0.0, "sample needs a frequency");
-  PWX_REQUIRE(sample.voltage > 0.0, "sample needs a voltage");
   maybe_adopt();
   current_->layout.to_dense(sample, scratch_);
-  return smooth(current_->layout.predict(scratch_));
+  return smooth(strict_predict(current_->layout, scratch_));
 }
 
 double OnlineEstimator::estimate(const DenseSample& sample) {
-  PWX_REQUIRE(sample.elapsed_s > 0.0, "sample needs a positive elapsed time");
-  PWX_REQUIRE(sample.frequency_ghz > 0.0, "sample needs a frequency");
-  PWX_REQUIRE(sample.voltage > 0.0, "sample needs a voltage");
   maybe_adopt();
-  return smooth(current_->layout.predict(sample));
+  return smooth(strict_predict(current_->layout, sample));
 }
 
 double OnlineEstimator::estimate_guarded(const CounterSample& sample) {

@@ -88,9 +88,10 @@ struct GuardedState {
 /// never throws on bad data, never emits NaN/Inf or a value outside the
 /// guard range; invalid samples hold the last good estimate and degrade
 /// `state.health` (FAILED after guards.max_consecutive_invalid misses in a
-/// row), a valid sample restores OK. Shared by OnlineEstimator and
-/// FleetEstimator so every guarded path has identical semantics and
-/// telemetry.
+/// row), a valid sample restores OK. OnlineEstimator's scalar guarded path;
+/// it folds through guarded_fold_raw, as the batched paths and the
+/// FleetEstimator's fused ingest do, so every guarded path has identical
+/// semantics and telemetry.
 double guarded_estimate_step(const ModelLayout& layout, double smoothing,
                              const EstimatorGuards& guards,
                              const DenseSample& sample, GuardedState& state);
@@ -145,10 +146,14 @@ public:
                            double smoothing = 0.0, EstimatorGuards guards = {});
 
   /// Estimate power for one sample. Strict: throws InvalidArgument when the
-  /// sample is degenerate (non-positive elapsed time, missing events, ...).
+  /// sample lacks a model event or is one ModelLayout::try_predict rejects
+  /// (non-finite or non-positive elapsed/frequency/voltage, non-finite or
+  /// negative counts, a non-finite model output) — the samples the guarded
+  /// path would hold are the samples this path refuses.
   double estimate(const CounterSample& sample);
 
-  /// Strict estimate on an already-dense sample (layout slot order).
+  /// Strict estimate on an already-dense sample (layout slot order); throws
+  /// on the same samples (and on a slot count that disagrees with layout()).
   double estimate(const DenseSample& sample);
 
   /// Hardened path: never throws on bad data, never emits NaN/Inf or a

@@ -515,24 +515,7 @@ double FleetEstimator::ingest(const std::string& node, const CounterSample& samp
   return ingest(intern(node), sample, now_s);
 }
 
-std::size_t FleetEstimator::ingest_batch(std::span<const NodeSample> batch) {
-  if (batch.empty()) {
-    return 0;
-  }
-  std::vector<const NodeSample*> samples(batch.size());
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    samples[k] = &batch[k];
-  }
-  return ingest_batch_impl(samples);
-}
-
-std::size_t FleetEstimator::ingest_batch(
-    std::span<const NodeSample* const> batch) {
-  return ingest_batch_impl(batch);
-}
-
-std::size_t FleetEstimator::ingest_batch_impl(
-    std::span<const NodeSample* const> samples) {
+std::size_t FleetEstimator::ingest_batch(std::span<const NodeSample> samples) {
   const std::size_t count = samples.size();
   if (count == 0) {
     return 0;
@@ -540,9 +523,6 @@ std::size_t FleetEstimator::ingest_batch_impl(
   PWX_SPAN("fleet.ingest_batch");
   obs::span_attr("samples", static_cast<std::uint64_t>(count));
   const std::size_t shard_count = options_.shard_count;
-  const auto sample_at = [&](std::size_t k) -> const NodeSample& {
-    return *samples[k];
-  };
 
   // Validate handles and resolve (shard, slot) up front — lock-free against
   // the intern index — so no error is raised inside the (possibly parallel)
@@ -550,8 +530,7 @@ std::size_t FleetEstimator::ingest_batch_impl(
   const std::uint32_t known = node_count_.load(std::memory_order_acquire);
   std::vector<std::uint64_t> locs(count);
   for (std::size_t k = 0; k < count; ++k) {
-    PWX_REQUIRE(samples[k] != nullptr, "null sample in batch");
-    const NodeSample& s = sample_at(k);
+    const NodeSample& s = samples[k];
     PWX_REQUIRE(s.node < known, "unknown node id ", s.node);
     const Loc loc = loc_of(s.node);
     locs[k] = (std::uint64_t{loc.shard} << 32) | std::uint64_t{loc.slot};
@@ -610,7 +589,7 @@ std::size_t FleetEstimator::ingest_batch_impl(
         SampleBatch& batch = shard.batch_scratch;
         batch.reset(pub.layout, chunk_end - k);
         for (std::uint32_t j = k; j < chunk_end; ++j) {
-          const NodeSample& ns = sample_at(order[j]);
+          const NodeSample& ns = samples[order[j]];
           if (ns.generation == 0 || ns.generation == pub.generation) {
             batch.append(ns.sample);
           } else {
@@ -625,7 +604,7 @@ std::size_t FleetEstimator::ingest_batch_impl(
         std::size_t invalid = 0;
         for (std::uint32_t j = k; j < chunk_end; ++j) {
           const std::size_t lane = j - k;
-          const NodeSample& ns = sample_at(order[j]);
+          const NodeSample& ns = samples[order[j]];
           const auto slot = static_cast<std::uint32_t>(locs[order[j]]);
           const bool lane_valid = shard.valid_scratch[lane] != 0;
           invalid += lane_valid ? 0 : 1;

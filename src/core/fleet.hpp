@@ -100,11 +100,10 @@ struct FleetSnapshot {
 };
 
 /// One shard's contribution to a FleetSnapshot, evaluated at a fixed fleet
-/// time. This is the unit of hierarchical aggregation: a flat snapshot, a
-/// two-level fleet tree, and a cross-process delta merge all fold the same
-/// records with fold_shard_delta(), which is what makes the three paths
-/// bit-identical over the same samples. Also the payload of the shard-delta
-/// wire format (fleet/delta.hpp).
+/// time. This is the unit of hierarchical aggregation: a flat snapshot and a
+/// cross-process delta merge fold the same records with fold_shard_delta(),
+/// which is what makes the two paths bit-identical over the same samples.
+/// Also the payload of the shard-delta wire format (fleet/delta.hpp).
 struct ShardDeltaRecord {
   double fresh_sum = 0.0;  ///< Σ last_estimate over fresh included nodes
   /// Extremes over fresh included nodes; NaN when none report.
@@ -120,7 +119,7 @@ struct ShardDeltaRecord {
 
 /// Fold one shard's record into a snapshot. The one definition of the
 /// aggregation arithmetic: callers must fold records in canonical shard
-/// order (leaf-major, shard-minor for a tree) for bit-identical totals.
+/// order (leaf-major, shard-minor for a delta merge) for bit-identical totals.
 void fold_shard_delta(FleetSnapshot& snap, const ShardDeltaRecord& rec);
 
 /// FNV-1a digest over a snapshot's semantic fields (bit patterns of the
@@ -168,9 +167,9 @@ public:
 
   /// FNV-1a hash of a node name — the one hash every fleet component
   /// derives node placement from. A node's shard is name_hash(name) %
-  /// shard_count; a fleet tree's group and a leaf daemon's slice are
-  /// derived from the same value (fleet/tree.hpp), so placement agrees
-  /// across processes without shared state.
+  /// shard_count; a leaf daemon's slice is derived from the same value
+  /// (tools/pwx_fleetd.cpp), so placement agrees across processes without
+  /// shared state.
   static std::uint64_t name_hash(std::string_view node);
 
   /// Get-or-create the stable handle for a node name. Interning is the only
@@ -212,12 +211,6 @@ public:
   /// loop of ingest calls).
   std::size_t ingest_batch(std::span<const NodeSample> batch);
 
-  /// Pointer-batch ingest: applies *batch[0], *batch[1], ... in that order,
-  /// without copying the samples. This is how a fleet tree routes one large
-  /// batch to its groups: each group receives its slice of a shared,
-  /// group-sorted pointer array. Same contract as the value overload.
-  std::size_t ingest_batch(std::span<const NodeSample* const> batch);
-
   /// Aggregate over all known nodes at fleet time `now_s`. Nodes whose
   /// estimator reports FAILED are excluded from the total (counted in
   /// nodes_failed); DEGRADED nodes stay included but are counted.
@@ -228,16 +221,10 @@ public:
   FleetSnapshot snapshot(double now_s) const;
 
   /// The per-shard contributions snapshot() folds, in shard order. This is
-  /// what a hierarchical aggregator consumes: a tree folds the deltas of
-  /// its groups, a leaf daemon encodes them onto the wire (fleet/delta.hpp).
-  /// Appends options().shard_count records to `out`.
+  /// what a hierarchical aggregator consumes: a leaf daemon encodes them
+  /// onto the wire (fleet/delta.hpp). Appends options().shard_count records
+  /// to `out`.
   void shard_deltas(double now_s, std::vector<ShardDeltaRecord>& out) const;
-
-  /// Write per-node staleness gauges for gauge-carrying nodes (those
-  /// interned below FleetOptions::per_node_gauge_limit). Called by
-  /// snapshot() when telemetry is enabled; a fleet tree calls it on its
-  /// groups. Cost is bounded by the limit, not the fleet size.
-  void update_staleness_gauges(double now_s) const;
 
   /// Last estimate of one node (nullopt when the node never reported).
   std::optional<double> node_estimate(const std::string& node) const;
@@ -382,7 +369,11 @@ private:
   double ingest_sample_locked(Shard& shard, std::uint32_t slot,
                               const DenseSample& sample,
                               std::uint64_t sample_generation, double now_s);
-  std::size_t ingest_batch_impl(std::span<const NodeSample* const> samples);
+  /// Write per-node staleness gauges for gauge-carrying nodes (those
+  /// interned below FleetOptions::per_node_gauge_limit). Called by
+  /// snapshot() when telemetry is enabled. Cost is bounded by the limit,
+  /// not the fleet size.
+  void update_staleness_gauges(double now_s) const;
   void detach_seen(Shard& shard, std::uint32_t slot);
   void attach_seen_sorted(Shard& shard, std::uint32_t slot);
   void repair_minmax(const Shard& shard) const;

@@ -5,9 +5,9 @@
 // into one small frame; an aggregator decodes frames from every leaf and
 // folds them — with the same fold_shard_delta() the in-process snapshot
 // uses, in the same canonical order — into a global FleetSnapshot that is
-// bit-identical to a single estimator ingesting the full stream (given the
-// hash-compatible partitioning FleetTree/partitioning helpers define; see
-// DESIGN.md "Hierarchical fleet aggregation & delta wire format").
+// bit-identical to a single estimator ingesting the full stream, given the
+// hash-compatible partition: a node belongs to leaf (name_hash % (L*S)) / S
+// (see DESIGN.md "Hierarchical fleet aggregation & delta wire format").
 //
 // Frame layout (little-endian, version 1):
 //

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <filesystem>
 
@@ -573,6 +574,26 @@ TEST(Estimator, InvalidSampleRejected) {
   sample.elapsed_s = 0.0;
   EXPECT_THROW(estimator.estimate(sample), InvalidArgument);
   EXPECT_THROW(OnlineEstimator(train_model(ds, exact_spec()), 1.5), InvalidArgument);
+
+  // The strict path refuses exactly what try_predict refuses: a positive
+  // but infinite voltage or a NaN count must throw, not return NaN/inf.
+  CounterSample valid;
+  valid.elapsed_s = 1.0;
+  valid.frequency_ghz = 2.4;
+  valid.voltage = 0.9;
+  valid.counts[pmc::Preset::PRF_DM] = 1e9;
+  valid.counts[pmc::Preset::TOT_CYC] = 2e9;
+  const double good = estimator.estimate(valid);
+  EXPECT_TRUE(std::isfinite(good));
+  CounterSample inf_voltage = valid;
+  inf_voltage.voltage = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(estimator.estimate(inf_voltage), InvalidArgument);
+  CounterSample nan_count = valid;
+  nan_count.counts[pmc::Preset::TOT_CYC] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(estimator.estimate(nan_count), InvalidArgument);
+  const DenseSample dense = estimator.layout().to_dense(nan_count);
+  EXPECT_THROW(estimator.estimate(dense), InvalidArgument);
+  EXPECT_EQ(estimator.estimate(valid), good);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for energy accounting and leave-one-workload-out validation.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "acquire/campaign.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -105,6 +107,28 @@ TEST(Energy, ResetClearsState) {
   EXPECT_DOUBLE_EQ(report.energy_joules, 0.0);
   EXPECT_EQ(report.samples, 0u);
   EXPECT_DOUBLE_EQ(report.average_watts, 0.0);
+}
+
+TEST(Energy, InvalidSampleThrowsAndLeavesTotalsUntouched) {
+  // A NaN count or an infinite voltage would otherwise fold a NaN or
+  // infinite interval into the running totals for good.
+  const PowerModel model = tiny_model();
+  EnergyAccountant accountant(model);
+  accountant.add(sample_watts(model, 1e9, 1.0));
+  const EnergyReport before = accountant.report();
+
+  CounterSample nan_count = sample_watts(model, 1e9, 1.0);
+  nan_count.counts[pmc::Preset::PRF_DM] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(accountant.add(nan_count), InvalidArgument);
+  CounterSample inf_voltage = sample_watts(model, 1e9, 1.0);
+  inf_voltage.voltage = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(accountant.add(inf_voltage), InvalidArgument);
+
+  const EnergyReport after = accountant.report();
+  EXPECT_EQ(after.energy_joules, before.energy_joules);
+  EXPECT_EQ(after.elapsed_s, before.elapsed_s);
+  EXPECT_EQ(after.peak_watts, before.peak_watts);
+  EXPECT_EQ(after.samples, 1u);
 }
 
 TEST(Energy, AccountsASimulatedRunCloseToTruth) {

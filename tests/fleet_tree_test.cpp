@@ -1,10 +1,9 @@
-// Hierarchical fleet aggregation: the two-level FleetTree and the shard-delta
-// wire format must reproduce a flat FleetEstimator's snapshot bit-for-bit —
-// across tree shapes, OpenMP on/off, process boundaries (encode → decode →
-// merge), and model hot swaps mid-stream. Plus the decoder's hostile-input
-// contract (deterministic typed rejections with exact byte offsets) and the
-// sparse active-set accounting that keeps snapshot cost proportional to live
-// nodes.
+// Hierarchical fleet aggregation: leaf estimators streaming shard deltas over
+// the wire format (encode → decode → merge) must reproduce a flat
+// FleetEstimator's snapshot bit-for-bit across partition shapes. Plus the
+// decoder's hostile-input contract (deterministic typed rejections with exact
+// byte offsets), the sparse active-set accounting that keeps snapshot cost
+// proportional to live nodes, and lock-free snapshots racing ingestion.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,12 +18,10 @@
 #include "acquire/dataset.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/epoch.hpp"
 #include "core/estimator.hpp"
 #include "core/fleet.hpp"
 #include "core/model.hpp"
 #include "fleet/delta.hpp"
-#include "fleet/tree.hpp"
 #include "obs/metrics.hpp"
 #include "trace/format.hpp"
 
@@ -38,7 +35,6 @@ using core::FeatureSpec;
 using core::FleetEstimator;
 using core::FleetOptions;
 using core::FleetSnapshot;
-using core::LayoutEpoch;
 using core::NodeId;
 using core::NodeSample;
 using core::PowerModel;
@@ -47,7 +43,6 @@ using pwx::Rng;
 
 const std::vector<pmc::Preset> kEventsA{pmc::Preset::PRF_DM, pmc::Preset::TOT_CYC,
                                         pmc::Preset::BR_MSP};
-const std::vector<pmc::Preset> kEventsB{pmc::Preset::TOT_CYC, pmc::Preset::BR_MSP};
 
 /// Synthetic Eq.1-representable model (epoch_test's generator).
 PowerModel make_model(const std::vector<pmc::Preset>& events, std::uint64_t seed) {
@@ -84,8 +79,7 @@ const PowerModel& test_model() {
   return model;
 }
 
-/// A sample carrying every event any test model uses, so it converts against
-/// either generation's layout.
+/// A sample carrying every event the test model uses.
 CounterSample union_sample(Rng& rng) {
   CounterSample sample;
   sample.elapsed_s = rng.uniform(0.05, 2.0);
@@ -99,8 +93,8 @@ CounterSample union_sample(Rng& rng) {
 
 // ------------------------------------------------- deterministic workload
 //
-// Everything below is a pure function of (node index, round) so flat, tree,
-// and per-leaf estimators can regenerate the identical stream independently
+// Everything below is a pure function of (node index, round) so flat and
+// per-leaf estimators can regenerate the identical stream independently
 // — the same trick the pwx-fleetd multi-process smoke test relies on.
 
 std::string node_name(std::size_t i) { return "node-" + std::to_string(i); }
@@ -128,11 +122,11 @@ constexpr double kHorizon = 0.8;
 constexpr std::size_t kNodes = 60;
 constexpr std::size_t kRounds = 5;
 
-/// Flat reference: one estimator with G*S shards over the whole stream.
-std::vector<std::uint64_t> run_flat(std::size_t groups, std::size_t shards,
+/// Flat reference: one estimator with L*S shards over the whole stream.
+std::vector<std::uint64_t> run_flat(std::size_t leaves, std::size_t shards,
                                     bool parallel) {
   FleetOptions options;
-  options.shard_count = groups * shards;
+  options.shard_count = leaves * shards;
   options.parallel_ingest = parallel;
   FleetEstimator est(test_model(), 0.0, kHorizon, options);
   std::vector<NodeId> ids;
@@ -153,38 +147,6 @@ std::vector<std::uint64_t> run_flat(std::size_t groups, std::size_t shards,
     }
     est.ingest_batch(batch);
     digests.push_back(snapshot_digest(est.snapshot(now)));
-  }
-  return digests;
-}
-
-/// The same stream through a two-level tree.
-std::vector<std::uint64_t> run_tree(std::size_t groups, std::size_t shards,
-                                    bool parallel, bool pin = false) {
-  TreeOptions options;
-  options.group_count = groups;
-  options.shards_per_group = shards;
-  options.parallel = parallel;
-  options.pin_groups = pin;
-  FleetTree tree(test_model(), 0.0, kHorizon, options);
-  std::vector<TreeNodeId> ids;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    ids.push_back(tree.intern(node_name(i)));
-  }
-  std::vector<std::uint64_t> digests;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    const double now = round_time(round);
-    std::vector<TreeSample> batch;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      if (!node_reports(i, round)) continue;
-      TreeSample ts;
-      ts.group = ids[i].group;
-      ts.sample.node = ids[i].local;
-      ts.sample.now_s = now;
-      ts.sample.sample = tree.layout().to_dense(sample_for(i, round));
-      batch.push_back(ts);
-    }
-    tree.ingest_batch(batch);
-    digests.push_back(snapshot_digest(tree.snapshot(now)));
   }
   return digests;
 }
@@ -231,86 +193,6 @@ std::vector<std::uint64_t> run_multiprocess(std::size_t leaves, std::size_t shar
     digests.push_back(snapshot_digest(merger.merge()));
   }
   return digests;
-}
-
-// ------------------------------------------------------ tree == flat
-
-TEST(FleetTree, GroupPlacementFollowsPartitionMath) {
-  TreeOptions options;
-  options.group_count = 3;
-  options.shards_per_group = 5;
-  FleetTree tree(test_model(), 0.0, kHorizon, options);
-  for (std::size_t i = 0; i < 100; ++i) {
-    const std::string name = node_name(i);
-    const std::uint64_t hash = FleetEstimator::name_hash(name);
-    const std::uint32_t expected =
-        static_cast<std::uint32_t>((hash % tree.total_shards()) /
-                                   tree.shards_per_group());
-    EXPECT_EQ(tree.group_of(name), expected) << name;
-    EXPECT_EQ(tree.intern(name).group, expected) << name;
-  }
-}
-
-TEST(FleetTree, SnapshotBitIdenticalToFlatAcrossShapes) {
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 4}, {2, 8}, {3, 5}, {4, 4}};
-  for (const auto& [groups, shards] : shapes) {
-    const auto flat = run_flat(groups, shards, /*parallel=*/false);
-    const auto tree = run_tree(groups, shards, /*parallel=*/false);
-    ASSERT_EQ(flat.size(), tree.size());
-    for (std::size_t r = 0; r < flat.size(); ++r) {
-      EXPECT_EQ(flat[r], tree[r])
-          << groups << "x" << shards << " round " << r;
-    }
-  }
-}
-
-TEST(FleetTree, ParallelGroupIngestBitIdenticalToSerial) {
-  const auto flat = run_flat(4, 4, /*parallel=*/false);
-  const auto serial = run_tree(4, 4, /*parallel=*/false);
-  const auto parallel = run_tree(4, 4, /*parallel=*/true);
-  EXPECT_EQ(flat, serial);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(FleetTree, PinnedGroupWorkersBitIdenticalToUnpinned) {
-  // pin_groups moves each group's worker onto a fixed CPU (best-effort; a
-  // denied affinity call is a silent no-op), so the only observable contract
-  // is that the math is untouched: identical digests every round, pinned or
-  // not, parallel or serial.
-  const auto unpinned = run_tree(4, 4, /*parallel=*/true, /*pin=*/false);
-  const auto pinned = run_tree(4, 4, /*parallel=*/true, /*pin=*/true);
-  EXPECT_EQ(unpinned, pinned);
-  const auto pinned_serial = run_tree(4, 4, /*parallel=*/false, /*pin=*/true);
-  EXPECT_EQ(unpinned, pinned_serial);
-}
-
-TEST(FleetTree, GroupDeltasMergeBackToTreeSnapshot) {
-  TreeOptions options;
-  options.group_count = 3;
-  options.shards_per_group = 4;
-  FleetTree tree(test_model(), 0.0, kHorizon, options);
-  std::vector<TreeNodeId> ids;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    ids.push_back(tree.intern(node_name(i)));
-  }
-  std::vector<TreeSample> batch;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    TreeSample ts;
-    ts.group = ids[i].group;
-    ts.sample.node = ids[i].local;
-    ts.sample.now_s = 1.0;
-    ts.sample.sample = tree.layout().to_dense(sample_for(i, 0));
-    batch.push_back(ts);
-  }
-  tree.ingest_batch(batch);
-
-  DeltaMerger merger;
-  for (std::uint32_t g = 0; g < tree.group_count(); ++g) {
-    merger.add(tree.group_delta(g, 1.0, 1));
-  }
-  EXPECT_TRUE(merger.complete());
-  EXPECT_EQ(snapshot_digest(merger.merge()), snapshot_digest(tree.snapshot(1.0)));
 }
 
 // ------------------------------------------- multi-process bit-identity
@@ -670,69 +552,6 @@ TEST(FleetConcurrency, LockFreeSnapshotsRaceIngestWithoutTearing) {
   const FleetSnapshot final_snap = est.snapshot(1e6);
   EXPECT_EQ(final_snap.nodes_reporting, kRaceNodes);
   EXPECT_TRUE(std::isfinite(final_snap.total_watts));
-}
-
-// ------------------------------------------- hot swap mid-stream, via tree
-
-TEST(FleetTreeEpoch, HotSwapMidStreamStaysBitIdenticalToFlat) {
-  // One shared epoch serves both the flat reference and the tree, so a
-  // single publish() swaps the model for both at the same batch boundary.
-  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsA, 1));
-
-  FleetOptions flat_options;
-  flat_options.shard_count = 3 * 4;
-  FleetEstimator flat(epoch, 0.0, kHorizon, flat_options);
-  TreeOptions tree_options;
-  tree_options.group_count = 3;
-  tree_options.shards_per_group = 4;
-  FleetTree tree(epoch, 0.0, kHorizon, tree_options);
-
-  std::vector<NodeId> flat_ids;
-  std::vector<TreeNodeId> tree_ids;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    flat_ids.push_back(flat.intern(node_name(i)));
-    tree_ids.push_back(tree.intern(node_name(i)));
-  }
-
-  const auto run_round = [&](std::size_t round, std::uint64_t generation,
-                             const core::ModelLayout& layout) {
-    const double now = round_time(round);
-    std::vector<NodeSample> flat_batch;
-    std::vector<TreeSample> tree_batch;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      if (!node_reports(i, round)) continue;
-      const core::DenseSample dense = layout.to_dense(sample_for(i, round));
-      NodeSample ns;
-      ns.node = flat_ids[i];
-      ns.now_s = now;
-      ns.sample = dense;
-      ns.generation = generation;
-      flat_batch.push_back(ns);
-      TreeSample ts;
-      ts.group = tree_ids[i].group;
-      ts.sample = ns;
-      ts.sample.node = tree_ids[i].local;
-      tree_batch.push_back(ts);
-    }
-    flat.ingest_batch(flat_batch);
-    tree.ingest_batch(tree_batch);
-    EXPECT_EQ(snapshot_digest(flat.snapshot(now)), snapshot_digest(tree.snapshot(now)))
-        << "round " << round;
-  };
-
-  const auto gen1 = epoch->current();
-  run_round(0, gen1->generation, gen1->layout);
-  run_round(1, gen1->generation, gen1->layout);
-
-  // Hot swap. Round 2's samples were built against generation 1 just before
-  // the swap — both sides must remap them identically.
-  epoch->publish(make_model(kEventsB, 2));
-  run_round(2, gen1->generation, gen1->layout);
-
-  const auto gen2 = epoch->current();
-  ASSERT_EQ(gen2->generation, 2u);
-  run_round(3, gen2->generation, gen2->layout);
-  run_round(4, gen2->generation, gen2->layout);
 }
 
 }  // namespace

@@ -264,6 +264,78 @@ TEST(Ols, RobustSeConvergeToClassicalUnderHomoscedasticity) {
   EXPECT_NEAR(se_r / se_c, 1.0, 0.05);
 }
 
+/// HC3 against its exact leave-one-out identity. Dropping row i moves the
+/// fit by b - b_(i) = (XᵀX)⁻¹ xᵢ eᵢ / (1 - hᵢᵢ), so the sandwich with
+/// weights eᵢ² / (1 - hᵢᵢ)² is Σᵢ (b_(i) - b)(b_(i) - b)ᵀ exactly. The oracle
+/// refits by brute force with each row dropped; entries agree to a relative
+/// 1e-8 of the entry (floored at 1e-8 of the coefficient pair's scale, since
+/// an off-diagonal can sit near zero).
+void expect_hc3_equals_leave_one_out_spread(const la::Matrix& x,
+                                            const std::vector<double>& y) {
+  OlsOptions hc3;
+  hc3.cov_type = CovarianceType::HC3;
+  const OlsResult full = fit_ols(x, y, hc3);
+  const std::size_t n = x.rows();
+  const std::size_t k = full.n_parameters;
+  la::Matrix spread(k, k);
+  for (std::size_t drop = 0; drop < n; ++drop) {
+    la::Matrix xi(n - 1, x.cols());
+    std::vector<double> yi;
+    for (std::size_t r = 0, out = 0; r < n; ++r) {
+      if (r == drop) continue;
+      for (std::size_t c = 0; c < x.cols(); ++c) {
+        xi(out, c) = x(r, c);
+      }
+      yi.push_back(y[r]);
+      ++out;
+    }
+    const std::vector<double> bi = fit_ols(xi, yi, {}).beta;
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = 0; b < k; ++b) {
+        spread(a, b) += (bi[a] - full.beta[a]) * (bi[b] - full.beta[b]);
+      }
+    }
+  }
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b < k; ++b) {
+      const double scale = std::sqrt(spread(a, a) * spread(b, b));
+      const double tol = 1e-8 * std::max(std::abs(spread(a, b)), 1e-8 * scale);
+      EXPECT_NEAR(full.covariance(a, b), spread(a, b), tol) << a << "," << b;
+    }
+  }
+}
+
+TEST(Ols, Hc3EqualsLeaveOneOutRefitSpread) {
+  Rng rng(111);
+  const std::size_t n = 40;
+
+  // Design 1: one far-out row with leverage >= 0.9, heteroscedastic noise.
+  la::Matrix lever = random_design(n, 2, rng);
+  lever(n - 1, 0) = 25.0;
+  lever(n - 1, 1) = -18.0;
+  std::vector<double> y1(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y1[i] = 1.0 + 2.0 * lever(i, 0) - 0.5 * lever(i, 1) +
+            rng.normal(0, 0.2 + 0.4 * std::abs(lever(i, 0)));
+  }
+  OlsOptions hc3;
+  hc3.cov_type = CovarianceType::HC3;
+  ASSERT_GE(fit_ols(lever, y1, hc3).leverage[n - 1], 0.9);
+  expect_hc3_equals_leave_one_out_spread(lever, y1);
+
+  // Design 2: a near-collinear column pair (correlation ~ 1 - 5e-5).
+  la::Matrix collinear(n, 3);
+  std::vector<double> y2(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.normal();
+    collinear(i, 0) = u;
+    collinear(i, 1) = u + 1e-2 * rng.normal();
+    collinear(i, 2) = rng.normal();
+    y2[i] = 3.0 * u + collinear(i, 2) + rng.normal(0, 0.1 + std::abs(u));
+  }
+  expect_hc3_equals_leave_one_out_spread(collinear, y2);
+}
+
 TEST(Ols, CoefficientCovarianceIsSymmetric) {
   Rng rng(110);
   la::Matrix x = random_design(25, 3, rng);

@@ -8,11 +8,11 @@
 //                         [--rounds R] --spool DIR
 //     Runs a FleetEstimator over this leaf's slice of an N-node simulated
 //     fleet — the slice the hash partition assigns it: a node belongs to
-//     leaf I iff (name_hash(name) % (L*S)) / S == I, the same rule
-//     fleet::FleetTree uses for its groups. Every round it batch-ingests
-//     its nodes' samples and atomically publishes its encoded delta frame
-//     to DIR/leaf-<I>.pwxd (write temp + rename, so the aggregator never
-//     reads a torn frame).
+//     leaf I iff (name_hash(name) % (L*S)) / S == I, so its local shard
+//     name_hash(name) % S is shard I*S + local of the flat L*S-shard
+//     estimator. Every round it batch-ingests its nodes' samples and
+//     atomically publishes its encoded delta frame to DIR/leaf-<I>.pwxd
+//     (write temp + rename, so the aggregator never reads a torn frame).
 //
 //   Aggregate: pwx-fleetd --aggregate --spool DIR [--once] [--interval-s X]
 //     Polls DIR for *.pwxd frames, decodes + validates each (corrupt frames
