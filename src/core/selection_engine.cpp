@@ -58,22 +58,6 @@ la::Matrix SelectionColumnPool::rate_matrix(std::span<const std::size_t> subset)
   return out;
 }
 
-la::Matrix SelectionColumnPool::feature_matrix() const {
-  const std::size_t c = events_.size();
-  la::Matrix out(rows_, c + 2);
-  for (std::size_t i = 0; i < c; ++i) {
-    const std::span<const double> col = feature_column(i);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      out(r, i) = col[r];
-    }
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    out(r, c) = base_(r, 0);
-    out(r, c + 1) = base_(r, 1);
-  }
-  return out;
-}
-
 double SelectionColumnPool::mean_vif(std::span<const std::size_t> subset) const {
   PWX_REQUIRE(subset.size() >= 2, "mean VIF needs at least two events");
   return regress::mean_vif_qr(rate_matrix(subset));

@@ -1,10 +1,9 @@
 // Column pool behind the selection algorithms.
 //
-// Algorithm 1 and the stepwise-criterion variants fit one model per remaining
-// candidate per step. Before this engine existed every such trial rebuilt its
-// feature matrix from Dataset's per-row std::map lookups and refactorized the
-// design from scratch. The engine extracts everything the trials need exactly
-// once per selection call:
+// Algorithm 1 fits one model per remaining candidate per step. Before this
+// engine existed every such trial rebuilt its feature matrix from Dataset's
+// per-row std::map lookups and refactorized the design from scratch. The
+// engine extracts everything the trials need exactly once per selection call:
 //
 //   * per-candidate feature columns  E_n·V²f  (normalization-dependent),
 //   * the base columns V²f and V and the power target y,
@@ -68,10 +67,6 @@ public:
   /// The cached rate columns of a subset as a matrix (rows() x subset size),
   /// identical to Dataset::event_rate_matrix over the same presets.
   la::Matrix rate_matrix(std::span<const std::size_t> subset) const;
-
-  /// The full design over every candidate in build_features' column layout
-  /// [E_n·V²f ... | V²f | V] — for whole-design consumers (LASSO path).
-  la::Matrix feature_matrix() const;
 
 private:
   std::size_t rows_ = 0;

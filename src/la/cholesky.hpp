@@ -1,8 +1,8 @@
 // Cholesky factorization of symmetric positive-definite matrices.
 //
-// Used for covariance sandwich products and as a fast path when the Gram
-// matrix is known to be well conditioned (e.g. VIF auxiliary regressions on
-// standardized predictors).
+// No library path factors with it: OLS, VIF and selection all go through
+// Householder QR. It is kept as the independent normal-equations reference
+// that the OLS tests compare QR's coefficients and covariances against.
 #pragma once
 
 #include <vector>
@@ -26,9 +26,6 @@ public:
 
   /// The factor L.
   const Matrix& l() const { return l_; }
-
-  /// log(det A) = 2 Σ log l_ii; useful for information criteria.
-  double log_determinant() const;
 
 private:
   Matrix l_;

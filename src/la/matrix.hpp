@@ -78,17 +78,11 @@ public:
   /// Max-abs element (infinity norm of the data, not the operator norm).
   double max_abs() const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
 private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Euclidean norm of a vector.
-double norm2(std::span<const double> v);
 
 /// Dot product.
 double dot(std::span<const double> a, std::span<const double> b);

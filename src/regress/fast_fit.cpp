@@ -34,40 +34,7 @@ double centered_ss_tot(std::span<const double> y) {
   return ss_tot;
 }
 
-double tail_ss(std::span<const double> qty, std::size_t from) {
-  double ss = 0.0;
-  for (std::size_t i = from; i < qty.size(); ++i) {
-    ss += qty[i] * qty[i];
-  }
-  return ss;
-}
-
 }  // namespace
-
-R2Fit fit_r2(const la::Matrix& x, std::span<const double> y) {
-  PWX_REQUIRE(x.rows() == y.size(), "fit_r2: X has ", x.rows(), " rows but y has ",
-              y.size());
-  const la::Matrix design = with_intercept(x);
-  const std::size_t n = design.rows();
-  const std::size_t k = design.cols();
-  PWX_REQUIRE(n > k, "fit_r2 needs more observations (", n, ") than parameters (", k,
-              ")");
-
-  R2Fit res;
-  res.n_parameters = k;
-  const la::QrDecomposition qr(design);
-  if (!qr.full_rank()) {
-    return res;  // full_rank stays false; no exception on collinearity
-  }
-  const std::vector<double> qty = qr.apply_qt(y);
-  res.ss_res = tail_ss(qty, k);
-  const double ss_tot = centered_ss_tot(y);
-  res.r_squared = ss_tot > 0.0 ? 1.0 - res.ss_res / ss_tot : 1.0;
-  res.adj_r_squared = 1.0 - (1.0 - res.r_squared) * static_cast<double>(n - 1) /
-                                static_cast<double>(n - k);
-  res.full_rank = true;
-  return res;
-}
 
 FastOls fit_ols_fast(const la::Matrix& x_in, std::span<const double> y,
                      bool add_intercept) {
@@ -174,8 +141,7 @@ void StepwiseOls::refresh_caches() {
 R2Fit StepwiseOls::fit_design(const double* candidate, const double* candidate_qt,
                               Scratch& scratch) const {
   const std::size_t m = rows();
-  const std::size_t cand = candidate != nullptr ? 1 : 0;
-  const std::size_t p = 1 + n_committed_ + cand + trailing_cols_;
+  const std::size_t p = 2 + n_committed_ + trailing_cols_;
   PWX_REQUIRE(m > p, "StepwiseOls needs more observations (", m,
               ") than parameters (", p, ")");
 
@@ -187,7 +153,7 @@ R2Fit StepwiseOls::fit_design(const double* candidate, const double* candidate_q
   scratch.ext.rebind(prefix_);
   if (candidate_qt != nullptr) {
     scratch.ext.append_transformed({candidate_qt, m});
-  } else if (candidate != nullptr) {
+  } else {
     scratch.ext.append({candidate, m});
   }
   for (std::size_t t = 0; t < trailing_cols_; ++t) {
@@ -195,7 +161,6 @@ R2Fit StepwiseOls::fit_design(const double* candidate, const double* candidate_q
   }
 
   R2Fit res;
-  res.n_parameters = p;
   if (!scratch.ext.full_rank()) {
     return res;  // collinear design; full_rank stays false
   }
@@ -213,27 +178,19 @@ R2Fit StepwiseOls::fit_design(const double* candidate, const double* candidate_q
     for (std::size_t j = 0; j < n_committed_; ++j) {
       fitted += committed_column(j)[r] * beta[1 + j];
     }
-    if (candidate != nullptr) {
-      fitted += candidate[r] * beta[1 + n_committed_];
-    }
+    fitted += candidate[r] * beta[1 + n_committed_];
     for (std::size_t t = 0; t < trailing_cols_; ++t) {
-      fitted += trailing_column(t)[r] * beta[1 + n_committed_ + cand + t];
+      fitted += trailing_column(t)[r] * beta[2 + n_committed_ + t];
     }
     const double e = y_[r] - fitted;
     ss_res += e * e;
   }
 
-  res.ss_res = ss_res;
   res.r_squared = ss_tot_ > 0.0 ? 1.0 - ss_res / ss_tot_ : 1.0;
   res.adj_r_squared = 1.0 - (1.0 - res.r_squared) * static_cast<double>(m - 1) /
                                 static_cast<double>(m - p);
   res.full_rank = true;
   return res;
-}
-
-R2Fit StepwiseOls::current() const {
-  Scratch scratch;
-  return fit_design(nullptr, nullptr, scratch);
 }
 
 R2Fit StepwiseOls::score(std::span<const double> candidate, Scratch& scratch) const {

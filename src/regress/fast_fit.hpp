@@ -6,7 +6,6 @@
 // (XᵀX)⁻¹, leverage, and a covariance matrix for every fit — all dead weight
 // on those paths. This module provides:
 //
-//   * fit_r2       — one QR + one Qᵀy; RSS read off the tail of Qᵀy.
 //   * fit_ols_fast — coefficients, fitted values, R²; skips leverage,
 //                    covariance, and inference entirely.
 //   * StepwiseOls  — the engine behind greedy selection: a committed prefix
@@ -41,14 +40,8 @@ inline constexpr double kFastScoreGate = 1e-8;
 struct R2Fit {
   double r_squared = 0.0;
   double adj_r_squared = 0.0;
-  double ss_res = 0.0;            ///< residual sum of squares
-  std::size_t n_parameters = 0;   ///< design columns incl. intercept
-  bool full_rank = false;         ///< false => the other fields are meaningless
+  bool full_rank = false;  ///< false => the other fields are meaningless
 };
-
-/// One-shot R²-only fit of y ~ [1 | x]. Never throws on collinearity — the
-/// rank verdict comes from the QR diagonal and is returned in `full_rank`.
-R2Fit fit_r2(const la::Matrix& x, std::span<const double> y);
 
 /// Coefficients + fit quality without the covariance/leverage machinery.
 struct FastOls {
@@ -101,11 +94,6 @@ public:
   std::size_t rows() const { return y_.size(); }
   /// Number of committed (pushed) columns, excluding intercept and trailing.
   std::size_t committed() const { return n_committed_; }
-  /// Parameter count of the committed design [1 | committed | trailing].
-  std::size_t params() const { return 1 + n_committed_ + trailing_cols_; }
-
-  /// fit_ols of y ~ [1 | committed | trailing] (minus the dead weight).
-  R2Fit current() const;
 
   /// fit_ols of y ~ [1 | committed | candidate | trailing]. Const and
   /// thread-safe: a candidate scan may score concurrently from many threads,

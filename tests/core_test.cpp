@@ -23,6 +23,7 @@
 #include "core/scenario.hpp"
 #include "core/selection.hpp"
 #include "core/validate.hpp"
+#include "regress/ols.hpp"
 
 namespace pwx::core {
 namespace {
@@ -312,6 +313,63 @@ TEST(Selection, ParallelScanMatchesSerialScanUnderVifVeto) {
   const auto candidates = pmc::haswell_ep_available_events();
   expect_identical_selections(select_events(ds, candidates, serial),
                               select_events(ds, candidates, parallel));
+}
+
+TEST(Selection, EveryStepMatchesFromScratchOls) {
+  // StepwiseOls promises that each trial reproduces fit_ols on the assembled
+  // Eq. 1 design bit for bit. Check that promise end to end: every step's R²
+  // equals a from-scratch fit on that prefix, and no remaining candidate's
+  // from-scratch R² beats the pick. With the VIF veto on, candidates the veto
+  // rejects are left out of the comparison.
+  const Dataset& ds = acquire::standard_selection_dataset();
+  const auto candidates = pmc::haswell_ep_available_events();
+  const std::vector<double> power = ds.power();
+  const auto from_scratch_r2 = [&](const std::vector<pmc::Preset>& events) {
+    FeatureSpec spec;
+    spec.events = events;
+    return regress::fit_ols(build_features(ds, spec), power).r_squared;
+  };
+  for (const double max_mean_vif : {std::numeric_limits<double>::infinity(), 8.0}) {
+    SCOPED_TRACE(max_mean_vif);
+    SelectionOptions opt;
+    opt.count = 6;
+    opt.max_mean_vif = max_mean_vif;
+    const SelectionResult result = select_events(ds, candidates, opt);
+    ASSERT_EQ(result.steps.size(), opt.count);
+    std::vector<pmc::Preset> prefix;
+    std::size_t vetoed = 0;
+    for (const SelectionStep& step : result.steps) {
+      std::vector<pmc::Preset> with_pick = prefix;
+      with_pick.push_back(step.event);
+      EXPECT_EQ(step.r_squared, from_scratch_r2(with_pick))
+          << "step " << prefix.size() << " " << pmc::preset_name(step.event);
+      for (const pmc::Preset candidate : candidates) {
+        if (std::find(with_pick.begin(), with_pick.end(), candidate) !=
+            with_pick.end()) {
+          continue;
+        }
+        std::vector<pmc::Preset> trial = prefix;
+        trial.push_back(candidate);
+        if (trial.size() >= 2 && selected_events_mean_vif(ds, trial) > max_mean_vif) {
+          vetoed += 1;
+          continue;
+        }
+        double r2 = 0.0;
+        try {
+          r2 = from_scratch_r2(trial);
+        } catch (const NumericalError&) {
+          continue;  // collinear with the prefix; Algorithm 1 skips it too
+        }
+        EXPECT_LE(r2, step.r_squared + 1e-12)
+            << "step " << prefix.size() << ": " << pmc::preset_name(candidate)
+            << " beats " << pmc::preset_name(step.event);
+      }
+      prefix = with_pick;
+    }
+    if (std::isfinite(max_mean_vif)) {
+      EXPECT_GT(vetoed, 0u);  // the veto run must exercise the veto
+    }
+  }
 }
 
 // ---------------------------------------------------------------- validation

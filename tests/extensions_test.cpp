@@ -1,17 +1,14 @@
-// Tests for the future-work extensions: alternative selection criteria,
-// LASSO-based event selection, and fleet-scale estimation.
+// Tests for the fleet-scale estimation extension: FleetEstimator fed one
+// map-based CounterSample per node.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <set>
 
-#include "acquire/campaign.hpp"
+#include "acquire/dataset.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/fleet.hpp"
 #include "core/model.hpp"
-#include "core/selection_criteria.hpp"
 
 namespace pwx::core {
 namespace {
@@ -45,113 +42,6 @@ Dataset synthetic_dataset(std::size_t n = 120, std::uint64_t seed = 9) {
     ds.append(row);
   }
   return ds;
-}
-
-const std::vector<pmc::Preset> kCandidates{pmc::Preset::BR_MSP, pmc::Preset::PRF_DM,
-                                           pmc::Preset::TLB_IM, pmc::Preset::TOT_CYC};
-
-// ------------------------------------------------- selection criteria
-
-class CriterionSweep : public ::testing::TestWithParam<SelectionCriterion> {};
-
-TEST_P(CriterionSweep, FindsTheInformativeEvents) {
-  const Dataset ds = synthetic_dataset();
-  SelectionOptions opt;
-  opt.count = 2;
-  const auto result = select_events_with_criterion(ds, kCandidates, opt, GetParam());
-  const auto selected = result.selected();
-  ASSERT_EQ(selected.size(), 2u);
-  EXPECT_TRUE(std::find(selected.begin(), selected.end(), pmc::Preset::PRF_DM) !=
-              selected.end());
-  EXPECT_TRUE(std::find(selected.begin(), selected.end(), pmc::Preset::TOT_CYC) !=
-              selected.end());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllCriteria, CriterionSweep,
-                         ::testing::Values(SelectionCriterion::RSquared,
-                                           SelectionCriterion::AdjustedRSquared,
-                                           SelectionCriterion::Aic,
-                                           SelectionCriterion::Bic));
-
-TEST(CriterionSelection, InformationCriteriaStopAtNoiseEvents) {
-  // With only two informative events, AIC/BIC should refuse to take all 4.
-  const Dataset ds = synthetic_dataset(200);
-  SelectionOptions opt;
-  opt.count = 4;
-  const auto bic =
-      select_events_with_criterion(ds, kCandidates, opt, SelectionCriterion::Bic);
-  EXPECT_TRUE(bic.stopped_early);
-  EXPECT_LT(bic.steps.size(), 4u);
-  // Plain R² never stops early (any event adds epsilon R²).
-  const auto r2 =
-      select_events_with_criterion(ds, kCandidates, opt, SelectionCriterion::RSquared);
-  EXPECT_FALSE(r2.stopped_early);
-  EXPECT_EQ(r2.steps.size(), 4u);
-}
-
-TEST(CriterionSelection, RSquaredCriterionMatchesAlgorithmOne) {
-  const Dataset ds = synthetic_dataset();
-  SelectionOptions opt;
-  opt.count = 3;
-  const auto a = select_events(ds, kCandidates, opt);
-  const auto b =
-      select_events_with_criterion(ds, kCandidates, opt, SelectionCriterion::RSquared);
-  EXPECT_EQ(a.selected(), b.selected());
-}
-
-TEST(CriterionSelection, CriterionValuesAreFinite) {
-  const Dataset ds = synthetic_dataset();
-  SelectionOptions opt;
-  opt.count = 2;
-  const auto aic =
-      select_events_with_criterion(ds, kCandidates, opt, SelectionCriterion::Aic);
-  for (const CriterionStep& step : aic.steps) {
-    EXPECT_TRUE(std::isfinite(step.criterion_value));
-    EXPECT_GT(step.base.r_squared, 0.0);
-  }
-}
-
-TEST(CorrelationSelection, TakesTopAbsolutePcc) {
-  const Dataset ds = synthetic_dataset();
-  const auto top2 = select_events_by_correlation(ds, kCandidates, 2);
-  ASSERT_EQ(top2.size(), 2u);
-  // The two informative events drive power; noise counters correlate ~0.
-  const std::set<pmc::Preset> set(top2.begin(), top2.end());
-  EXPECT_TRUE(set.count(pmc::Preset::PRF_DM) == 1 ||
-              set.count(pmc::Preset::TOT_CYC) == 1);
-  EXPECT_EQ(set.count(pmc::Preset::BR_MSP) + set.count(pmc::Preset::TLB_IM), 0u);
-}
-
-TEST(CorrelationSelection, RejectsBadCount) {
-  const Dataset ds = synthetic_dataset();
-  EXPECT_THROW(select_events_by_correlation(ds, kCandidates, 0), InvalidArgument);
-  EXPECT_THROW(select_events_by_correlation(ds, kCandidates, 9), InvalidArgument);
-}
-
-TEST(LassoSelection, FindsInformativeEventsOnSyntheticData) {
-  const Dataset ds = synthetic_dataset(200);
-  const auto result = select_events_lasso(ds, kCandidates, 2);
-  ASSERT_EQ(result.selected.size(), 2u);
-  const std::set<pmc::Preset> set(result.selected.begin(), result.selected.end());
-  EXPECT_EQ(set.count(pmc::Preset::PRF_DM), 1u);
-  EXPECT_EQ(set.count(pmc::Preset::TOT_CYC), 1u);
-  EXPECT_GT(result.lambda, 0.0);
-  // result.r_squared is the *penalized* fit at the read-off point (can be
-  // low at high lambda); what matters is the OLS refit on the selected set.
-  FeatureSpec spec;
-  spec.events = result.selected;
-  EXPECT_GT(train_model(ds, spec).fit().r_squared, 0.95);
-}
-
-TEST(LassoSelection, WorksOnTheStandardDataset) {
-  const auto& ds = acquire::standard_selection_dataset();
-  const auto result =
-      select_events_lasso(ds, pmc::haswell_ep_available_events(), 6);
-  EXPECT_EQ(result.selected.size(), 6u);
-  // The resulting set must support a full-rank Eq.1 fit.
-  FeatureSpec spec;
-  spec.events = result.selected;
-  EXPECT_NO_THROW(train_model(ds, spec));
 }
 
 // ------------------------------------------------- fleet estimation

@@ -510,6 +510,82 @@ TEST(Vif, ScaleInvariance) {
   EXPECT_NEAR(vif_for_column(x, 1), vif_for_column(scaled, 1), 1e-6);
 }
 
+namespace {
+
+/// Column correlation matrix from two-pass centred sums, independent of the
+/// VIF code under test.
+la::Matrix correlation_matrix(const la::Matrix& x) {
+  const std::size_t m = x.rows();
+  const std::size_t k = x.cols();
+  la::Matrix centred(m, k);
+  for (std::size_t j = 0; j < k; ++j) {
+    double mean = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      mean += x(i, j);
+    }
+    mean /= static_cast<double>(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      centred(i, j) = x(i, j) - mean;
+    }
+  }
+  const la::Matrix cov = centred.gram();
+  la::Matrix r(k, k);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b < k; ++b) {
+      r(a, b) = cov(a, b) / std::sqrt(cov(a, a) * cov(b, b));
+    }
+  }
+  return r;
+}
+
+/// VIF_j = [R⁻¹]_jj: both VIF paths against the inverse correlation matrix.
+void expect_vifs_match_inverse_correlation(const la::Matrix& x) {
+  const la::Matrix r_inv = la::CholeskyDecomposition(correlation_matrix(x)).inverse();
+  const std::vector<double> aux = vif_all(x);
+  const std::vector<double> qr = vif_all_qr(x);
+  for (std::size_t j = 0; j < x.cols(); ++j) {
+    const double exact = r_inv(j, j);
+    EXPECT_NEAR(aux[j], exact, 1e-9 * exact) << "vif_all column " << j;
+    EXPECT_NEAR(qr[j], exact, 1e-9 * exact) << "vif_all_qr column " << j;
+  }
+}
+
+}  // namespace
+
+TEST(Vif, MatchesDiagonalOfInverseCorrelation) {
+  Rng rng(205);
+  // Five columns with distinct offsets and scales; columns 1 and 3 are a
+  // near-collinear pair, so their VIFs exceed 50.
+  const std::size_t m = 200;
+  la::Matrix x(m, 5);
+  for (std::size_t i = 0; i < m; ++i) {
+    x(i, 0) = rng.normal(5.0, 2.0);
+    x(i, 1) = rng.normal(-3.0, 1.0);
+    x(i, 2) = rng.uniform(0.0, 100.0) + 0.5 * x(i, 0);
+    x(i, 3) = 4.0 * x(i, 1) + 7.0 + rng.normal(0.0, 0.4);
+    x(i, 4) = rng.normal(1e6, 1e4) + 1e3 * x(i, 2);
+  }
+  expect_vifs_match_inverse_correlation(x);
+  EXPECT_GT(vif_all_qr(x)[1], 50.0);
+  EXPECT_GT(vif_all_qr(x)[3], 50.0);
+
+  // Two columns: the closed form VIF = 1 / (1 - r²) for both.
+  la::Matrix pair(m, 2);
+  for (std::size_t i = 0; i < m; ++i) {
+    pair(i, 0) = rng.normal(2.0, 1.0);
+    pair(i, 1) = 0.8 * pair(i, 0) + rng.normal(10.0, 0.5);
+  }
+  expect_vifs_match_inverse_correlation(pair);
+  const double r = correlation_matrix(pair)(0, 1);
+  const double closed_form = 1.0 / (1.0 - r * r);
+  for (const double v : vif_all(pair)) {
+    EXPECT_NEAR(v, closed_form, 1e-9 * closed_form);
+  }
+  for (const double v : vif_all_qr(pair)) {
+    EXPECT_NEAR(v, closed_form, 1e-9 * closed_form);
+  }
+}
+
 // ---------------------------------------------------------------- diagnostics
 
 TEST(Diagnostics, BreuschPaganDetectsHeteroscedasticity) {
@@ -581,28 +657,6 @@ std::vector<double> noisy_response(const la::Matrix& x, Rng& rng) {
 }
 
 }  // namespace
-
-TEST(FastFit, R2FitMatchesFitOls) {
-  Rng rng(50);
-  const la::Matrix x = random_design(40, 5, rng);
-  const auto y = noisy_response(x, rng);
-  const OlsResult full = fit_ols(x, y);
-  const R2Fit fast = fit_r2(x, y);
-  ASSERT_TRUE(fast.full_rank);
-  EXPECT_NEAR(fast.r_squared, full.r_squared, 1e-12);
-  EXPECT_NEAR(fast.adj_r_squared, full.adj_r_squared, 1e-12);
-  EXPECT_EQ(fast.n_parameters, 6u);
-}
-
-TEST(FastFit, R2FitFlagsCollinearityWithoutThrowing) {
-  Rng rng(51);
-  la::Matrix x = random_design(20, 3, rng);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    x(i, 2) = 3.0 * x(i, 0);
-  }
-  const R2Fit fast = fit_r2(x, std::vector<double>(20, 1.0));
-  EXPECT_FALSE(fast.full_rank);
-}
 
 TEST(FastFit, FitOlsFastMatchesFitOlsBitwise) {
   Rng rng(52);

@@ -12,7 +12,6 @@
 #include "stats/descriptive.hpp"
 #include "stats/kfold.hpp"
 #include "stats/metrics.hpp"
-#include "stats/standardize.hpp"
 
 namespace pwx::stats {
 namespace {
@@ -328,63 +327,6 @@ TEST(KFold, GroupedGoldenSplitsAreStable) {
   EXPECT_EQ(folds[0].train, train0);
   EXPECT_EQ(folds[1].validate, train0);
   EXPECT_EQ(folds[1].train, validate0);
-}
-
-// ---------------------------------------------------------------- standardize
-
-TEST(Standardize, TransformedColumnsHaveZeroMeanUnitVariance) {
-  Rng rng(31);
-  la::Matrix x(200, 3);
-  for (std::size_t i = 0; i < 200; ++i) {
-    x(i, 0) = rng.normal(5.0, 2.0);
-    x(i, 1) = rng.normal(-1.0, 0.1);
-    x(i, 2) = rng.uniform(0.0, 100.0);
-  }
-  const ColumnScaler scaler = ColumnScaler::fit(x);
-  const la::Matrix z = scaler.transform(x);
-  for (std::size_t c = 0; c < 3; ++c) {
-    const auto col = z.col(c);
-    EXPECT_NEAR(mean(col), 0.0, 1e-10);
-    EXPECT_NEAR(variance(col), 1.0, 1e-10);
-  }
-}
-
-TEST(Standardize, ConstantColumnGetsUnitScale) {
-  la::Matrix x(5, 1);
-  for (std::size_t i = 0; i < 5; ++i) {
-    x(i, 0) = 7.0;
-  }
-  const ColumnScaler scaler = ColumnScaler::fit(x);
-  EXPECT_DOUBLE_EQ(scaler.scale[0], 1.0);
-  const la::Matrix z = scaler.transform(x);
-  EXPECT_DOUBLE_EQ(z(0, 0), 0.0);
-}
-
-TEST(Standardize, UnscaleCoefficientsReproducesPrediction) {
-  Rng rng(32);
-  la::Matrix x(50, 2);
-  for (std::size_t i = 0; i < 50; ++i) {
-    x(i, 0) = rng.normal(10, 3);
-    x(i, 1) = rng.normal(-5, 1);
-  }
-  const ColumnScaler scaler = ColumnScaler::fit(x);
-  const la::Matrix z = scaler.transform(x);
-  const std::vector<double> beta_scaled{1.5, -0.7};
-  const auto [beta, shift] = scaler.unscale_coefficients(beta_scaled);
-  // z · beta_scaled == x · beta + shift
-  for (std::size_t i = 0; i < 50; ++i) {
-    const double via_scaled = z(i, 0) * beta_scaled[0] + z(i, 1) * beta_scaled[1];
-    const double via_orig = x(i, 0) * beta[0] + x(i, 1) * beta[1] + shift;
-    EXPECT_NEAR(via_scaled, via_orig, 1e-10);
-  }
-}
-
-TEST(Standardize, ColumnCountMismatchThrows) {
-  la::Matrix x(5, 2);
-  x(0, 0) = 1;  // avoid degenerate but irrelevant here
-  const ColumnScaler scaler = ColumnScaler::fit(x);
-  la::Matrix y(5, 3);
-  EXPECT_THROW(scaler.transform(y), InvalidArgument);
 }
 
 }  // namespace
