@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "acquire/campaign.hpp"
+#include "pmc/scheduler.hpp"
 #include "sim/engine.hpp"
 #include "workloads/registry.hpp"
 
@@ -12,6 +13,15 @@ namespace {
 
 using namespace pwx;
 
+/// The presets of the standard schedule's first group: what one campaign run
+/// records.
+const std::vector<pmc::Preset>& first_group() {
+  static const std::vector<pmc::Preset> events =
+      pmc::schedule_events(pmc::haswell_ep_available_events()).front().events;
+  return events;
+}
+
+// Every native (the run that pwx-record and the replay tools make).
 void BM_SingleRun(benchmark::State& state) {
   const sim::Engine engine = sim::Engine::haswell_ep();
   const auto workload = workloads::find_workload("md");
@@ -28,6 +38,21 @@ void BM_SingleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleRun)->Arg(1)->Arg(24)->Unit(benchmark::kMillisecond);
 
+// The same run recording one event group (a campaign run).
+void BM_SingleRunOneGroup(benchmark::State& state) {
+  const sim::Engine engine = sim::Engine::haswell_ep();
+  const auto workload = workloads::find_workload("md");
+  sim::RunConfig rc;
+  rc.threads = static_cast<std::size_t>(state.range(0));
+  rc.interval_s = 0.25;
+  rc.duration_scale = 0.4;
+  for (auto _ : state) {
+    const auto run = engine.run(*workload, rc, first_group());
+    benchmark::DoNotOptimize(run.intervals.size());
+  }
+}
+BENCHMARK(BM_SingleRunOneGroup)->Arg(1)->Arg(24)->Unit(benchmark::kMillisecond);
+
 void BM_CoreActivityGeneration(benchmark::State& state) {
   const auto workload = workloads::find_workload("bwaves");
   Rng rng(7);
@@ -39,8 +64,20 @@ void BM_CoreActivityGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreActivityGeneration);
 
-// The per-core hot loop of generate_core_activity: one jitter shape per
-// core-interval, then 29 counter draws with it.
+void BM_CoreActivityGenerationOneGroup(benchmark::State& state) {
+  const auto workload = workloads::find_workload("bwaves");
+  const pmc::NativeSet read = sim::natives_read(first_group());
+  Rng rng(7);
+  for (auto _ : state) {
+    const auto counts = sim::generate_core_activity(workload->phases[0], 2.4, 2.5,
+                                                    0.25, 1.0, 24, read, rng);
+    benchmark::DoNotOptimize(counts.instructions);
+  }
+}
+BENCHMARK(BM_CoreActivityGenerationOneGroup);
+
+// Unbatched jitter: 29 lognormal() calls with one shape, each paying its own
+// half of a Box–Muller pair and an exp.
 void BM_LognormalJitter(benchmark::State& state) {
   const auto workload = workloads::find_workload("bwaves");
   const Rng::LognormalShape shape =

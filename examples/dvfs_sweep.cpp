@@ -45,7 +45,10 @@ int main() {
   for (const Split& split : splits) {
     acquire::Dataset train;
     for (double f : split.train_frequencies) {
-      for (const acquire::DataRow& row : all.filter_frequency(f).rows()) {
+      // rows() returns a reference into the Dataset, so the filtered copy must
+      // outlive the loop: a range-for over a temporary's rows() would not.
+      const acquire::Dataset at_f = all.filter_frequency(f);
+      for (const acquire::DataRow& row : at_f.rows()) {
         train.append(row);
       }
     }

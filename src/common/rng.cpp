@@ -61,6 +61,19 @@ SinCos sincos_2pi(double u) {
 
 namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+struct NormalPair {
+  double first = 0.0;
+  double second = 0.0;
+};
+
+/// Box–Muller on u1 in (0, 1] and u2 in [0, 1): the one place both halves of
+/// every pair are computed, so all entry points return the same bits.
+inline NormalPair box_muller(double u1, double u2) {
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const SinCos angle = sincos_2pi(u2);
+  return {radius * angle.cos, radius * angle.sin};
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -101,19 +114,71 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
+double Rng::take_second_half() {
+  const Half half = half_;
+  half_ = Half::kNone;
+  return half == Half::kCached ? cached_normal_ : box_muller(kept_u1_, kept_u2_).second;
+}
+
 double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  if (half_ != Half::kNone) {
+    return take_second_half();
   }
-  // Box–Muller; u1 in (0,1] to keep the log finite.
+  // u1 in (0,1] keeps the log finite.
   const double u1 = 1.0 - uniform();
   const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const SinCos angle = sincos_2pi(u2);
-  cached_normal_ = radius * angle.sin;
-  has_cached_normal_ = true;
-  return radius * angle.cos;
+  const NormalPair z = box_muller(u1, u2);
+  cached_normal_ = z.second;
+  half_ = Half::kCached;
+  return z.first;
+}
+
+void Rng::normals(std::span<double> out, std::uint64_t wanted) {
+  const std::size_t n = out.size();
+  PWX_REQUIRE(n <= 64, "normals draws at most 64 at once, got ", n);
+  std::size_t i = 0;
+  if (n > 0 && half_ != Half::kNone) {
+    if ((wanted & 1) != 0) {
+      out[0] = take_second_half();
+    }
+    half_ = Half::kNone;
+    i = 1;
+  }
+  // Uniforms in stream order; only pairs with a wanted half keep theirs.
+  std::array<double, 32> u1;
+  std::array<double, 32> u2;
+  std::array<std::size_t, 32> at;
+  std::size_t pairs = 0;
+  for (; i + 1 < n; i += 2) {
+    if (((wanted >> i) & 3) == 0) {
+      (*this)();
+      (*this)();
+      continue;
+    }
+    u1[pairs] = 1.0 - uniform();
+    u2[pairs] = uniform();
+    at[pairs++] = i;
+  }
+  if (i < n) {
+    // The last pair straddles the batch: its second half is the stream's next.
+    const double last_u1 = 1.0 - uniform();
+    const double last_u2 = uniform();
+    if (((wanted >> i) & 1) != 0) {
+      const NormalPair z = box_muller(last_u1, last_u2);
+      out[i] = z.first;
+      cached_normal_ = z.second;
+      half_ = Half::kCached;
+    } else {
+      kept_u1_ = last_u1;
+      kept_u2_ = last_u2;
+      half_ = Half::kKept;
+    }
+  }
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const NormalPair z = box_muller(u1[p], u2[p]);
+    out[at[p]] = z.first;
+    out[at[p] + 1] = z.second;
+  }
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
@@ -154,7 +219,7 @@ Rng Rng::fork() {
     }
   }
   s_ = acc;  // ... and the parent jumps ahead, so the streams never overlap.
-  child.has_cached_normal_ = false;
+  child.half_ = Half::kNone;
   return child;
 }
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pwx {
@@ -55,6 +56,16 @@ public:
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
+  /// The next out.size() (<= 64) normals of the stream, exactly as that many
+  /// normal() calls would return them, written to out[i] for every bit i set
+  /// in `wanted`; the other entries of `out` are unspecified. Draws the
+  /// uniforms in stream order, then runs Box–Muller on the pairs that have a
+  /// wanted half: a pair with neither half wanted costs two raw steps. When
+  /// the last pair's second half falls past the batch and its first half is
+  /// not wanted, the pair keeps its uniforms, so a later normal() or
+  /// normals() computes that second half with the same bits.
+  void normals(std::span<double> out, std::uint64_t wanted);
+
   /// Shape of a log-normal with coefficient of variation cv:
   /// σ = sqrt(log(1 + cv²)) and σ²/2. Depends on cv only, so a caller that
   /// draws many variates with one cv computes it once.
@@ -82,9 +93,17 @@ public:
   std::vector<std::size_t> permutation(std::size_t n);
 
 private:
+  /// The pending second half of the last Box–Muller pair: none, its value,
+  /// or (first half never computed) the pair's two uniforms.
+  enum class Half : std::uint8_t { kNone, kCached, kKept };
+
+  double take_second_half();
+
   std::array<std::uint64_t, 4> s_{};
+  Half half_ = Half::kNone;
   double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  double kept_u1_ = 0.0;
+  double kept_u2_ = 0.0;
 };
 
 }  // namespace pwx

@@ -11,9 +11,7 @@ namespace {
 // ActivityCounts is a standard-layout aggregate of native-event doubles;
 // fault injection corrupts one of them picked uniformly, the way a glitching
 // read corrupts whichever counter the kernel handed back last.
-constexpr std::size_t kCounterFields = sizeof(pmc::ActivityCounts) / sizeof(double);
-static_assert(sizeof(pmc::ActivityCounts) == kCounterFields * sizeof(double),
-              "ActivityCounts must stay a pure double aggregate for fault injection");
+constexpr std::size_t kCounterFields = pmc::kNativeCount;
 
 double* counter_field(pmc::ActivityCounts& counts, std::size_t index) {
   return reinterpret_cast<double*>(&counts) + (index % kCounterFields);

@@ -1,5 +1,10 @@
 #include "pmc/activity.hpp"
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace pwx::pmc {
@@ -163,6 +168,29 @@ double preset_value(Preset preset, const ActivityCounts& c) {
     case Preset::kCount: break;
   }
   throw InvalidArgument("preset_value: invalid preset");
+}
+
+NativeSet natives_read_by(std::span<const Preset> presets) {
+  static const std::array<NativeSet, kPresetCount> kRead = [] {
+    std::array<NativeSet, kPresetCount> read{};
+    for (std::size_t n = 0; n < kNativeCount; ++n) {
+      std::array<double, kNativeCount> probe;
+      probe.fill(1.0);
+      probe[n] = std::numeric_limits<double>::quiet_NaN();
+      const auto counts = std::bit_cast<ActivityCounts>(probe);
+      for (std::size_t p = 0; p < kPresetCount; ++p) {
+        if (std::isnan(preset_value(static_cast<Preset>(p), counts))) {
+          read[p] |= NativeSet{1} << n;
+        }
+      }
+    }
+    return read;
+  }();
+  NativeSet read = 0;
+  for (const Preset preset : presets) {
+    read |= kRead.at(static_cast<std::size_t>(preset));
+  }
+  return read;
 }
 
 }  // namespace pwx::pmc

@@ -9,7 +9,9 @@
 // L1_DCM + L1_ICM) are encoded once, here.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "pmc/events.hpp"
 
@@ -80,9 +82,30 @@ struct ActivityCounts {
   ActivityCounts& operator*=(double factor);
 };
 
+/// Number of natives. ActivityCounts is a pure aggregate of doubles, and
+/// native i is its i-th field.
+inline constexpr std::size_t kNativeCount = sizeof(ActivityCounts) / sizeof(double);
+static_assert(sizeof(ActivityCounts) == kNativeCount * sizeof(double),
+              "ActivityCounts must stay a pure aggregate of doubles");
+
+/// A set of natives: bit i stands for native i.
+using NativeSet = std::uint64_t;
+static_assert(kNativeCount <= 64, "a NativeSet holds at most 64 natives");
+inline constexpr NativeSet kAllNatives = (NativeSet{1} << kNativeCount) - 1;
+
+/// The NativeSet bit of an ActivityCounts field: PWX_NATIVE(l1i_miss).
+#define PWX_NATIVE(field)                   \
+  (::pwx::pmc::NativeSet{1}                 \
+   << (offsetof(::pwx::pmc::ActivityCounts, field) / sizeof(double)))
+
 /// Value of a PAPI preset derived from native counts. Every preset in the
 /// catalogue is defined (including the ones unavailable on Haswell-EP, which
 /// model other x86 generations).
 double preset_value(Preset preset, const ActivityCounts& counts);
+
+/// The natives that preset_value() reads for any of `presets`. Found by
+/// handing preset_value a record with one native NaN at a time, so it cannot
+/// drift from the derivation table.
+NativeSet natives_read_by(std::span<const Preset> presets);
 
 }  // namespace pwx::pmc

@@ -53,7 +53,6 @@ FastOls fit_ols_fast(const la::Matrix& x_in, std::span<const double> y,
   }
 
   FastOls res;
-  res.n_observations = n;
   res.n_parameters = k;
   res.has_intercept = add_intercept;
   res.beta = qr.solve(y);
@@ -66,7 +65,6 @@ FastOls fit_ols_fast(const la::Matrix& x_in, std::span<const double> y,
     const double e = y[i] - fitted[i];
     ss_res += e * e;
   }
-  res.ss_res = ss_res;
 
   double ss_tot = 0.0;
   if (add_intercept) {

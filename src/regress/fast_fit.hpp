@@ -48,8 +48,6 @@ struct FastOls {
   std::vector<double> beta;  ///< intercept first when added
   double r_squared = 0.0;
   double adj_r_squared = 0.0;
-  double ss_res = 0.0;
-  std::size_t n_observations = 0;
   std::size_t n_parameters = 0;  ///< columns incl. intercept
   bool has_intercept = false;
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,14 +77,25 @@ public:
   /// The paper's platform with default instrumentation.
   static Engine haswell_ep(std::uint64_t machine_seed = 0x5eed);
 
-  /// Execute one run of `workload` under `config`.
+  /// Execute one run of `workload` under `config`, computing every native.
   RunResult run(const workloads::Workload& workload, const RunConfig& config) const;
+
+  /// The same run for a trace that records only `recorded`: every native in
+  /// natives_read(recorded), and so true power, measured power, voltage and
+  /// every recorded preset, has the same bits as in the run above. The other
+  /// natives come out NaN and their draws skip all but their place in the
+  /// stream.
+  RunResult run(const workloads::Workload& workload, const RunConfig& config,
+                std::span<const pmc::Preset> recorded) const;
 
   const cpu::MachineSpec& spec() const { return spec_; }
   const cpu::DvfsTable& dvfs() const { return dvfs_; }
   const power::GroundTruthPower& ground_truth() const { return truth_; }
 
 private:
+  RunResult simulate(const workloads::Workload& workload, const RunConfig& config,
+                     pmc::NativeSet read) const;
+
   cpu::MachineSpec spec_;
   cpu::DvfsTable dvfs_;
   power::GroundTruthPower truth_;
@@ -98,6 +110,18 @@ pmc::ActivityCounts generate_core_activity(const workloads::PhaseCharacter& c,
                                            double reference_ghz, double interval_s,
                                            double slowdown, std::size_t coactive_cores,
                                            Rng& rng);
+
+/// The same interval computing only the natives in `read` (see natives_read)
+/// with the same bits; the others come out NaN. Consumes the same stream.
+pmc::ActivityCounts generate_core_activity(const workloads::PhaseCharacter& c,
+                                           double frequency_ghz,
+                                           double reference_ghz, double interval_s,
+                                           double slowdown, std::size_t coactive_cores,
+                                           pmc::NativeSet read, Rng& rng);
+
+/// The natives a run that records `recorded` computes: those true power
+/// reads, the natives they are derived from, and those the presets read.
+pmc::NativeSet natives_read(std::span<const pmc::Preset> recorded);
 
 /// Effective cycles-per-instruction at a frequency (base + memory part).
 double effective_cpi(const workloads::PhaseCharacter& c, double frequency_ghz);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <set>
@@ -245,6 +247,76 @@ TEST(Rng, ZeroCvDrawConsumesNoNormal) {
   EXPECT_EQ(rng.lognormal(5.0, Rng::lognormal_shape(0.0)), 5.0);
   EXPECT_EQ(rng.normal(), twin.normal());
   EXPECT_EQ(rng.normal(), twin.normal());
+}
+
+/// Bits of a double, so that EXPECT_EQ compares bits (and NaN is no escape).
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Rng, BatchedNormalsMatchOneAtATime) {
+  // `batched` draws through normals() with random wanted masks; `twin` makes
+  // the same draws one normal() at a time. Lengths run odd and even, so a
+  // pair's second half (cached when its first half was wanted, kept as
+  // uniforms when not) carries into the next call, which is sometimes a
+  // plain normal().
+  Rng batched(0x5EED);
+  Rng twin(0x5EED);
+  Rng pick(99);
+  std::vector<double> out(64);
+  for (int call = 0; call < 4000; ++call) {
+    if (pick.uniform_index(5) == 0) {
+      ASSERT_EQ(bits(batched.normal()), bits(twin.normal())) << "call " << call;
+      continue;
+    }
+    const std::size_t n = pick.uniform_index(65);
+    // Dense, sparse and empty masks all occur.
+    const std::uint64_t density = pick.uniform_index(4);
+    std::uint64_t wanted = pick();
+    for (std::uint64_t d = 0; d < density; ++d) {
+      wanted &= pick();
+    }
+    if (density == 3 && pick.uniform_index(2) == 0) {
+      wanted = 0;
+    }
+    std::fill(out.begin(), out.end(), 0.0);
+    batched.normals(std::span<double>(out.data(), n), wanted);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double z = twin.normal();
+      if (((wanted >> i) & 1) != 0) {
+        ASSERT_EQ(bits(out[i]), bits(z))
+            << "call " << call << " draw " << i << " of " << n;
+      }
+    }
+    ASSERT_EQ(bits(batched.normal()), bits(twin.normal())) << "after call " << call;
+  }
+}
+
+TEST(Rng, BatchedNormalsKeepAnUnreadFirstHalf) {
+  // An odd batch whose last draw is unwanted ends on the first half of a
+  // pair: the second half must still come out of the next normal() and of
+  // the next batch with the libm-free Box–Muller bits.
+  for (const bool next_is_batch : {false, true}) {
+    Rng batched(17);
+    Rng twin(17);
+    std::array<double, 3> out{};
+    batched.normals(out, 0b011);
+    EXPECT_EQ(bits(out[0]), bits(twin.normal()));
+    EXPECT_EQ(bits(out[1]), bits(twin.normal()));
+    twin.normal();
+    double second = 0.0;
+    if (next_is_batch) {
+      batched.normals(std::span<double>(&second, 1), 1);
+    } else {
+      second = batched.normal();
+    }
+    EXPECT_EQ(bits(second), bits(twin.normal()));
+    EXPECT_EQ(bits(batched.normal()), bits(twin.normal()));
+  }
+}
+
+TEST(Rng, BatchedNormalsRejectMoreThan64) {
+  Rng rng(1);
+  std::vector<double> out(65);
+  EXPECT_THROW(rng.normals(out, ~std::uint64_t{0}), InvalidArgument);
 }
 
 TEST(Rng, ForkedStreamsDiffer) {

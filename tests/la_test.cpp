@@ -219,12 +219,6 @@ TEST(Qr, UnderdeterminedRejected) {
   EXPECT_THROW(QrDecomposition{a}, InvalidArgument);
 }
 
-TEST(Qr, DiagonalConditionOrderOfMagnitude) {
-  Matrix a{{1, 0}, {0, 1e-6}, {0, 0}};
-  const QrDecomposition qr(a);
-  EXPECT_NEAR(qr.diagonal_condition(), 1e6, 1e1);
-}
-
 // ---------------------------------------------------------------- cholesky
 
 TEST(Cholesky, FactorizesAndSolvesSpd) {

@@ -178,6 +178,24 @@ TEST(Activity, EveryAvailablePresetEvaluates) {
   }
 }
 
+TEST(Activity, NativesReadByPresetsFollowTheDerivationTable) {
+  const auto read = [](Preset p) { return natives_read_by(std::vector<Preset>{p}); };
+  EXPECT_EQ(read(Preset::TOT_CYC), PWX_NATIVE(cycles));
+  EXPECT_EQ(read(Preset::L1_TCM), PWX_NATIVE(l1d_load_miss) |
+                                      PWX_NATIVE(l1d_store_miss) | PWX_NATIVE(l1i_miss));
+  EXPECT_EQ(read(Preset::BR_NTK), PWX_NATIVE(branch_cn) | PWX_NATIVE(branch_taken));
+  EXPECT_EQ(read(Preset::CA_ITV), PWX_NATIVE(invalidations));
+  EXPECT_EQ(read(Preset::FUL_ICY), PWX_NATIVE(full_issue_cycles));
+  EXPECT_EQ(read(Preset::FP_INS), NativeSet{0});  // a constant reads nothing
+  EXPECT_EQ(natives_read_by(std::vector<Preset>{Preset::L1_ICM, Preset::L3_LDM}),
+            PWX_NATIVE(l1i_miss) | PWX_NATIVE(l3_load_miss));
+  EXPECT_EQ(natives_read_by(std::vector<Preset>{}), NativeSet{0});
+}
+
+TEST(Activity, EveryNativeIsReadByAnAvailablePreset) {
+  EXPECT_EQ(natives_read_by(haswell_ep_available_events()), kAllNatives);
+}
+
 // ---------------------------------------------------------------- scheduler
 
 TEST(Scheduler, FixedCountersFitInOneRun) {

@@ -1,12 +1,16 @@
 // Tests for the execution simulator.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <set>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "pmc/activity.hpp"
+#include "pmc/events.hpp"
+#include "pmc/scheduler.hpp"
 #include "sim/engine.hpp"
 #include "workloads/registry.hpp"
 
@@ -277,6 +281,95 @@ TEST(Engine, IdleWorkloadHasLowCycleActivity) {
   const auto& counts = run.intervals[0].counts;
   // Unhalted fraction ~2%: cycles far below 24 cores * f * interval.
   EXPECT_LT(counts.cycles, 0.1 * 24 * 2.4e9 * 0.25);
+}
+
+// ---------------------------------------------------------------- read sets
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::array<double, pmc::kNativeCount> natives(const pmc::ActivityCounts& counts) {
+  return std::bit_cast<std::array<double, pmc::kNativeCount>>(counts);
+}
+
+TEST(ReadSet, TruePowerLeavesFourteenNativesUnread) {
+  // Twelve jitter draws that neither true power nor another native reads,
+  // and two products of drawn natives.
+  const pmc::NativeSet unread =
+      PWX_NATIVE(branch_ucn) | PWX_NATIVE(l1i_miss) | PWX_NATIVE(l3_load_miss) |
+      PWX_NATIVE(shared_access) | PWX_NATIVE(clean_exclusive) |
+      PWX_NATIVE(invalidations) |
+      PWX_NATIVE(full_issue_cycles) | PWX_NATIVE(full_compl_cycles) |
+      PWX_NATIVE(stall_issue_cycles) | PWX_NATIVE(stall_compl_cycles) |
+      PWX_NATIVE(resource_stall_cycles) | PWX_NATIVE(mem_write_stall_cycles) |
+      PWX_NATIVE(ref_cycles) | PWX_NATIVE(branch_taken);
+  EXPECT_EQ(natives_read({}), pmc::kAllNatives & ~unread);
+  EXPECT_EQ(natives_read(std::vector<pmc::Preset>{pmc::Preset::CA_SHR}),
+            natives_read({}) | PWX_NATIVE(shared_access));
+}
+
+TEST(ReadSet, RecordedGroupRunMatchesAllNativesRunBitForBit) {
+  const Engine engine = Engine::haswell_ep();
+  const std::vector<pmc::EventGroup> groups =
+      pmc::schedule_events(pmc::haswell_ep_available_events(), {});
+  for (const char* name : {"md", "memory_read"}) {
+    for (const std::size_t threads : {1u, 24u}) {
+      const RunConfig rc = quick_config(2.4, threads, 23);
+      const RunResult all = engine.run(wl(name), rc);
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        SCOPED_TRACE(std::string(name) + " threads " + std::to_string(threads) +
+                     " group " + std::to_string(g));
+        const std::vector<pmc::Preset>& events = groups[g].events;
+        const pmc::NativeSet read = natives_read(events);
+        const RunResult part = engine.run(wl(name), rc, events);
+        ASSERT_EQ(part.intervals.size(), all.intervals.size());
+        for (std::size_t i = 0; i < all.intervals.size(); ++i) {
+          const IntervalRecord& a = all.intervals[i];
+          const IntervalRecord& p = part.intervals[i];
+          ASSERT_EQ(bits(p.measured_power_watts), bits(a.measured_power_watts));
+          ASSERT_EQ(bits(p.true_power_watts), bits(a.true_power_watts));
+          ASSERT_EQ(bits(p.measured_voltage), bits(a.measured_voltage));
+          for (const pmc::Preset preset : events) {
+            ASSERT_EQ(bits(pmc::preset_value(preset, p.counts)),
+                      bits(pmc::preset_value(preset, a.counts)))
+                << pmc::preset_name(preset) << " interval " << i;
+          }
+          const auto want = natives(a.counts);
+          const auto got = natives(p.counts);
+          for (std::size_t n = 0; n < pmc::kNativeCount; ++n) {
+            if (((read >> n) & 1) != 0) {
+              ASSERT_EQ(bits(got[n]), bits(want[n])) << "native " << n;
+            } else {
+              ASSERT_TRUE(std::isnan(got[n])) << "native " << n << " = " << got[n];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ReadSet, CoreActivityLeavesUnreadNativesNaN) {
+  // The capped cycle-histogram entries included: std::min(cycles, NaN)
+  // would hand back a plausible cycle count.
+  workloads::PhaseCharacter c;
+  c.mem_ns_per_inst = 1.0;
+  const pmc::NativeSet read = natives_read({});
+  Rng full_rng(8);
+  Rng part_rng(8);
+  for (int rep = 0; rep < 50; ++rep) {
+    const auto want =
+        natives(generate_core_activity(c, 2.4, 2.5, 0.25, 1.0, 24, full_rng));
+    const auto got =
+        natives(generate_core_activity(c, 2.4, 2.5, 0.25, 1.0, 24, read, part_rng));
+    for (std::size_t n = 0; n < pmc::kNativeCount; ++n) {
+      if (((read >> n) & 1) != 0) {
+        ASSERT_EQ(bits(got[n]), bits(want[n])) << "native " << n;
+      } else {
+        ASSERT_TRUE(std::isnan(got[n])) << "native " << n << " = " << got[n];
+      }
+    }
+  }
+  EXPECT_EQ(full_rng(), part_rng());  // both consumed the same stream
 }
 
 class EngineFrequencySweep : public ::testing::TestWithParam<double> {};
