@@ -114,22 +114,17 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
-double Rng::take_second_half() {
-  const Half half = half_;
-  half_ = Half::kNone;
-  return half == Half::kCached ? cached_normal_ : box_muller(kept_u1_, kept_u2_).second;
-}
-
 double Rng::normal() {
-  if (half_ != Half::kNone) {
-    return take_second_half();
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return cached_normal_;
   }
   // u1 in (0,1] keeps the log finite.
   const double u1 = 1.0 - uniform();
   const double u2 = uniform();
   const NormalPair z = box_muller(u1, u2);
   cached_normal_ = z.second;
-  half_ = Half::kCached;
+  has_cached_normal_ = true;
   return z.first;
 }
 
@@ -137,11 +132,9 @@ void Rng::normals(std::span<double> out, std::uint64_t wanted) {
   const std::size_t n = out.size();
   PWX_REQUIRE(n <= 64, "normals draws at most 64 at once, got ", n);
   std::size_t i = 0;
-  if (n > 0 && half_ != Half::kNone) {
-    if ((wanted & 1) != 0) {
-      out[0] = take_second_half();
-    }
-    half_ = Half::kNone;
+  if (n > 0 && has_cached_normal_) {
+    out[0] = cached_normal_;
+    has_cached_normal_ = false;
     i = 1;
   }
   // Uniforms in stream order; only pairs with a wanted half keep theirs.
@@ -160,19 +153,14 @@ void Rng::normals(std::span<double> out, std::uint64_t wanted) {
     at[pairs++] = i;
   }
   if (i < n) {
-    // The last pair straddles the batch: its second half is the stream's next.
+    // The last pair straddles the batch: its second half is the stream's next,
+    // so the pair is computed whether or not its first half is wanted.
     const double last_u1 = 1.0 - uniform();
     const double last_u2 = uniform();
-    if (((wanted >> i) & 1) != 0) {
-      const NormalPair z = box_muller(last_u1, last_u2);
-      out[i] = z.first;
-      cached_normal_ = z.second;
-      half_ = Half::kCached;
-    } else {
-      kept_u1_ = last_u1;
-      kept_u2_ = last_u2;
-      half_ = Half::kKept;
-    }
+    const NormalPair z = box_muller(last_u1, last_u2);
+    out[i] = z.first;
+    cached_normal_ = z.second;
+    has_cached_normal_ = true;
   }
   for (std::size_t p = 0; p < pairs; ++p) {
     const NormalPair z = box_muller(u1[p], u2[p]);
@@ -219,7 +207,7 @@ Rng Rng::fork() {
     }
   }
   s_ = acc;  // ... and the parent jumps ahead, so the streams never overlap.
-  child.half_ = Half::kNone;
+  child.has_cached_normal_ = false;
   return child;
 }
 

@@ -60,10 +60,9 @@ public:
   /// normal() calls would return them, written to out[i] for every bit i set
   /// in `wanted`; the other entries of `out` are unspecified. Draws the
   /// uniforms in stream order, then runs Box–Muller on the pairs that have a
-  /// wanted half: a pair with neither half wanted costs two raw steps. When
-  /// the last pair's second half falls past the batch and its first half is
-  /// not wanted, the pair keeps its uniforms, so a later normal() or
-  /// normals() computes that second half with the same bits.
+  /// wanted half: a pair with neither half wanted costs two raw steps. A pair
+  /// whose second half falls past the batch is always computed, and that half
+  /// is cached for the next normal() or normals().
   void normals(std::span<double> out, std::uint64_t wanted);
 
   /// Shape of a log-normal with coefficient of variation cv:
@@ -93,17 +92,9 @@ public:
   std::vector<std::size_t> permutation(std::size_t n);
 
 private:
-  /// The pending second half of the last Box–Muller pair: none, its value,
-  /// or (first half never computed) the pair's two uniforms.
-  enum class Half : std::uint8_t { kNone, kCached, kKept };
-
-  double take_second_half();
-
   std::array<std::uint64_t, 4> s_{};
-  Half half_ = Half::kNone;
   double cached_normal_ = 0.0;
-  double kept_u1_ = 0.0;
-  double kept_u2_ = 0.0;
+  bool has_cached_normal_ = false;
 };
 
 }  // namespace pwx

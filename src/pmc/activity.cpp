@@ -1,9 +1,6 @@
 #include "pmc/activity.hpp"
 
 #include <array>
-#include <bit>
-#include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -173,16 +170,10 @@ double preset_value(Preset preset, const ActivityCounts& c) {
 NativeSet natives_read_by(std::span<const Preset> presets) {
   static const std::array<NativeSet, kPresetCount> kRead = [] {
     std::array<NativeSet, kPresetCount> read{};
-    for (std::size_t n = 0; n < kNativeCount; ++n) {
-      std::array<double, kNativeCount> probe;
-      probe.fill(1.0);
-      probe[n] = std::numeric_limits<double>::quiet_NaN();
-      const auto counts = std::bit_cast<ActivityCounts>(probe);
-      for (std::size_t p = 0; p < kPresetCount; ++p) {
-        if (std::isnan(preset_value(static_cast<Preset>(p), counts))) {
-          read[p] |= NativeSet{1} << n;
-        }
-      }
+    for (std::size_t p = 0; p < kPresetCount; ++p) {
+      const auto preset = static_cast<Preset>(p);
+      read[p] = probe_natives_read(
+          [preset](const ActivityCounts& counts) { return preset_value(preset, counts); });
     }
     return read;
   }();

@@ -9,8 +9,12 @@
 // L1_DCM + L1_ICM) are encoded once, here.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "pmc/events.hpp"
@@ -103,9 +107,26 @@ inline constexpr NativeSet kAllNatives = (NativeSet{1} << kNativeCount) - 1;
 /// model other x86 generations).
 double preset_value(Preset preset, const ActivityCounts& counts);
 
-/// The natives that preset_value() reads for any of `presets`. Found by
-/// handing preset_value a record with one native NaN at a time, so it cannot
-/// drift from the derivation table.
+/// The natives that `reader`, a function of an ActivityCounts returning a
+/// double, reads: it is handed a record of ones with one native NaN at a time,
+/// and reads that native when it returns NaN. So the set cannot drift from
+/// the function it is taken from.
+template <class Reader>
+NativeSet probe_natives_read(Reader&& reader) {
+  NativeSet read = 0;
+  for (std::size_t n = 0; n < kNativeCount; ++n) {
+    std::array<double, kNativeCount> probe;
+    probe.fill(1.0);
+    probe[n] = std::numeric_limits<double>::quiet_NaN();
+    if (std::isnan(reader(std::bit_cast<ActivityCounts>(probe)))) {
+      read |= NativeSet{1} << n;
+    }
+  }
+  return read;
+}
+
+/// The natives that preset_value() reads for any of `presets`, found by
+/// probe_natives_read.
 NativeSet natives_read_by(std::span<const Preset> presets);
 
 }  // namespace pwx::pmc

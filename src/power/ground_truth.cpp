@@ -23,6 +23,22 @@ double GroundTruthPower::vr_efficiency(double package_watts) {
   return 0.84 + 0.055 * package_watts / (package_watts + 60.0);
 }
 
+pmc::NativeSet GroundTruthPower::natives_read() {
+  static const pmc::NativeSet kRead = [] {
+    const GroundTruthPower truth = haswell_ep();
+    SocketActivity activity;
+    activity.duration_s = 1.0;
+    activity.frequency_ghz = 2.6;
+    activity.voltage = 1.0;
+    activity.active_cores = activity.total_cores;
+    return pmc::probe_natives_read([&](const pmc::ActivityCounts& counts) {
+      activity.counts = counts;
+      return truth.socket_power(activity).package_total();
+    });
+  }();
+  return kRead;
+}
+
 PowerBreakdown GroundTruthPower::socket_power(const SocketActivity& a) const {
   PWX_REQUIRE(a.duration_s > 0.0, "socket activity needs a positive duration");
   PWX_REQUIRE(a.voltage > 0.0, "socket activity needs a positive voltage");

@@ -124,6 +124,11 @@ public:
   /// Voltage-regulator efficiency at a given package load.
   static double vr_efficiency(double package_watts);
 
+  /// The natives socket_power reads, found by pmc::probe_natives_read. Every
+  /// count it reads enters with an energy factor, and 0·NaN is NaN, so the
+  /// set is the same for every energy table.
+  static pmc::NativeSet natives_read();
+
 private:
   EnergyTable energies_;
   StaticParameters statics_;

@@ -91,24 +91,43 @@ constexpr std::array<pmc::NativeSet, kDrawCount> kDrawNative = {
     PWX_NATIVE(stall_compl_cycles), PWX_NATIVE(resource_stall_cycles),
     PWX_NATIVE(mem_write_stall_cycles)};
 
-/// Natives that true power reads (GroundTruthPower::socket_power, and the
-/// instruction count behind the hidden activity), with the natives they are
-/// computed from.
-constexpr pmc::NativeSet kGroundTruthNatives =
-    PWX_NATIVE(cycles) | PWX_NATIVE(instructions) | PWX_NATIVE(load_ins) |
-    PWX_NATIVE(store_ins) | PWX_NATIVE(branch_cn) | PWX_NATIVE(branch_misp) |
-    PWX_NATIVE(l1d_load_miss) | PWX_NATIVE(l1d_store_miss) | PWX_NATIVE(l2_data_read) |
-    PWX_NATIVE(l2_data_write) | PWX_NATIVE(l2_inst_read) | PWX_NATIVE(l2_load_miss) |
-    PWX_NATIVE(l2_store_miss) | PWX_NATIVE(l2_inst_miss) | PWX_NATIVE(l3_data_read) |
-    PWX_NATIVE(l3_data_write) | PWX_NATIVE(l3_inst_read) | PWX_NATIVE(l3_total_miss) |
-    PWX_NATIVE(tlb_data_miss) | PWX_NATIVE(tlb_inst_miss) | PWX_NATIVE(prefetch_miss) |
-    PWX_NATIVE(snoop_requests);
+/// A native that sample_core computes from other natives, and those natives.
+struct Derivation {
+  pmc::NativeSet native;
+  pmc::NativeSet sources;
+};
+
+constexpr std::array<Derivation, 6> kDerivations = {{
+    {PWX_NATIVE(l2_data_read), PWX_NATIVE(l1d_load_miss) | PWX_NATIVE(prefetch_miss)},
+    {PWX_NATIVE(l2_data_write), PWX_NATIVE(l1d_store_miss)},
+    {PWX_NATIVE(l3_data_read), PWX_NATIVE(l2_load_miss) | PWX_NATIVE(prefetch_miss)},
+    {PWX_NATIVE(l3_data_write), PWX_NATIVE(l2_store_miss)},
+    {PWX_NATIVE(l3_inst_read), PWX_NATIVE(l2_inst_miss)},
+    {PWX_NATIVE(l3_total_miss), PWX_NATIVE(prefetch_miss)},
+}};
+
+/// The natives sample_core computes for `read`: those, the natives they are
+/// computed from, and the three that every interval needs. Cycles and
+/// instructions scale every mean (and the hidden activity reads
+/// instructions); branch_cn scales branch_misp's mean, and whether that draw
+/// takes a normal from the stream depends on its sign, so branch_cn must be
+/// known to keep every later draw in place.
+pmc::NativeSet computed_natives(pmc::NativeSet read) {
+  pmc::NativeSet computed =
+      read | PWX_NATIVE(cycles) | PWX_NATIVE(instructions) | PWX_NATIVE(branch_cn);
+  for (const Derivation& d : kDerivations) {
+    if ((read & d.native) != 0) {
+      computed |= d.sources;
+    }
+  }
+  return computed;
+}
 
 /// A run's read set, with the draws it needs.
 struct ReadSet {
-  explicit ReadSet(pmc::NativeSet read) : natives(read) {
+  explicit ReadSet(pmc::NativeSet read) : natives(computed_natives(read)) {
     for (std::size_t k = 0; k < kDrawCount; ++k) {
-      if ((kDrawNative[k] & read) != 0) {
+      if ((kDrawNative[k] & natives) != 0) {
         draws |= std::uint32_t{1} << k;
       }
     }
@@ -332,7 +351,8 @@ pmc::ActivityCounts generate_core_activity(const workloads::PhaseCharacter& c,
 }
 
 pmc::NativeSet natives_read(std::span<const pmc::Preset> recorded) {
-  return kGroundTruthNatives | pmc::natives_read_by(recorded);
+  return computed_natives(power::GroundTruthPower::natives_read() |
+                          pmc::natives_read_by(recorded));
 }
 
 Engine::Engine(cpu::MachineSpec spec, cpu::DvfsTable dvfs,

@@ -111,16 +111,18 @@ pmc::ActivityCounts generate_core_activity(const workloads::PhaseCharacter& c,
                                            double slowdown, std::size_t coactive_cores,
                                            Rng& rng);
 
-/// The same interval computing only the natives in `read` (see natives_read)
-/// with the same bits; the others come out NaN. Consumes the same stream.
+/// The same interval computing only the natives in `read`, and those they are
+/// computed from, with the same bits; the others come out NaN. Consumes the
+/// same stream.
 pmc::ActivityCounts generate_core_activity(const workloads::PhaseCharacter& c,
                                            double frequency_ghz,
                                            double reference_ghz, double interval_s,
                                            double slowdown, std::size_t coactive_cores,
                                            pmc::NativeSet read, Rng& rng);
 
-/// The natives a run that records `recorded` computes: those true power
-/// reads, the natives they are derived from, and those the presets read.
+/// The natives a run that records `recorded` computes: those true power reads
+/// (power::GroundTruthPower::natives_read), those the presets read, and the
+/// natives the simulator computes them from.
 pmc::NativeSet natives_read(std::span<const pmc::Preset> recorded);
 
 /// Effective cycles-per-instruction at a frequency (base + memory part).

@@ -255,9 +255,8 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 TEST(Rng, BatchedNormalsMatchOneAtATime) {
   // `batched` draws through normals() with random wanted masks; `twin` makes
   // the same draws one normal() at a time. Lengths run odd and even, so a
-  // pair's second half (cached when its first half was wanted, kept as
-  // uniforms when not) carries into the next call, which is sometimes a
-  // plain normal().
+  // pair's cached second half carries into the next call, which is
+  // sometimes a plain normal().
   Rng batched(0x5EED);
   Rng twin(0x5EED);
   Rng pick(99);
@@ -290,7 +289,7 @@ TEST(Rng, BatchedNormalsMatchOneAtATime) {
   }
 }
 
-TEST(Rng, BatchedNormalsKeepAnUnreadFirstHalf) {
+TEST(Rng, BatchedNormalsCarryTheSecondHalfOfAnUnreadPair) {
   // An odd batch whose last draw is unwanted ends on the first half of a
   // pair: the second half must still come out of the next normal() and of
   // the next batch with the libm-free Box–Muller bits.

@@ -1,7 +1,10 @@
 // Tests for the ground-truth power generator and the sensor model.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -28,6 +31,34 @@ SocketActivity busy_socket(double frequency_ghz = 2.4, std::size_t cores = 12) {
 }
 
 // ---------------------------------------------------------------- ground truth
+
+TEST(GroundTruth, NativesReadAreTheCountsThatMovePower) {
+  // Doubling a read native (from a nonzero value) moves the power; changing
+  // an unread one leaves its bits alone.
+  const GroundTruthPower truth = GroundTruthPower::haswell_ep();
+  const pmc::NativeSet read = GroundTruthPower::natives_read();
+  EXPECT_NE(read, pmc::NativeSet{0});
+  SocketActivity base = busy_socket();
+  auto values = std::bit_cast<std::array<double, pmc::kNativeCount>>(base.counts);
+  for (double& v : values) {
+    v = v == 0.0 ? 1e9 : v;
+  }
+  base.counts = std::bit_cast<pmc::ActivityCounts>(values);
+  const double watts = truth.socket_input_watts(base);
+  for (std::size_t n = 0; n < pmc::kNativeCount; ++n) {
+    auto changed = values;
+    changed[n] *= 2.0;
+    SocketActivity a = base;
+    a.counts = std::bit_cast<pmc::ActivityCounts>(changed);
+    const double moved = truth.socket_input_watts(a);
+    if (((read >> n) & 1) != 0) {
+      EXPECT_NE(moved, watts) << "native " << n;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(moved), std::bit_cast<std::uint64_t>(watts))
+          << "native " << n;
+    }
+  }
+}
 
 TEST(GroundTruth, IdleSocketInPlausibleRange) {
   const GroundTruthPower truth = GroundTruthPower::haswell_ep();

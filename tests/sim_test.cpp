@@ -372,6 +372,23 @@ TEST(ReadSet, CoreActivityLeavesUnreadNativesNaN) {
   EXPECT_EQ(full_rng(), part_rng());  // both consumed the same stream
 }
 
+TEST(ReadSet, EachNativeReadAloneKeepsItsBits) {
+  // A native read on its own brings the natives it is computed from, so it
+  // has the bits of the all-natives interval.
+  workloads::PhaseCharacter c;
+  c.mem_ns_per_inst = 1.0;
+  for (std::size_t n = 0; n < pmc::kNativeCount; ++n) {
+    Rng full_rng(21);
+    Rng part_rng(21);
+    const auto want =
+        natives(generate_core_activity(c, 2.4, 2.5, 0.25, 1.0, 24, full_rng));
+    const auto got = natives(generate_core_activity(
+        c, 2.4, 2.5, 0.25, 1.0, 24, pmc::NativeSet{1} << n, part_rng));
+    ASSERT_FALSE(std::isnan(want[n])) << "native " << n;
+    ASSERT_EQ(bits(got[n]), bits(want[n])) << "native " << n;
+  }
+}
+
 class EngineFrequencySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(EngineFrequencySweep, MemoryBoundWorkloadGainsLittleFromFrequency) {
