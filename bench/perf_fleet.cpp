@@ -5,7 +5,8 @@
 // how many nodes one aggregator process can serve.
 //
 // BM_FleetIngest/N ingests one sample per node for N nodes (one "round" of
-// fleet telemetry); BM_FleetSnapshot aggregates a 100k-node fleet. The
+// fleet telemetry); BM_FleetSnapshot aggregates a 100k-node fleet;
+// BM_FleetTick is one serving tick (random-node batch + snapshot). The
 // checked-in perf_baseline.json entries were captured on the map-based
 // pre-optimization FleetEstimator; tools/bench_compare.py (bench_fleet_gate
 // target) holds the current code to >=5x on ingest/100k and >=10x on
@@ -13,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -127,6 +129,67 @@ void BM_FleetSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetSnapshot)->Unit(benchmark::kMillisecond);
+
+// One serving tick on a 1M-node fleet: a 16,384-sample batch from random
+// nodes (parallel ingest on), then one snapshot. Every sample's voltage is
+// jittered, so estimates are all but distinct, and each tick shifts every
+// lane to another node: reports land all over the fleet and keep dethroning
+// extremum holders, so the tick pays whatever min/max bookkeeping the fleet
+// does, on ingest or on snapshot. The fleet and its batches are built once
+// and kept across benchmark reruns.
+void BM_FleetTick(benchmark::State& state) {
+  obs::set_enabled(false);
+  constexpr std::uint32_t kNodes = 1000000;
+  constexpr std::size_t kBatch = 16384;
+  constexpr std::uint32_t kShift = 611953;  // coprime with kNodes
+  struct Tick {
+    std::unique_ptr<core::FleetEstimator> fleet;
+    std::vector<std::vector<core::NodeSample>> batches;
+    double now = 0.0;
+  };
+  static Tick tick = [] {
+    core::FleetOptions options;
+    options.parallel_ingest = true;
+    Tick t{std::make_unique<core::FleetEstimator>(
+               fleet_model(), /*smoothing=*/0.0, /*staleness_horizon_s=*/1e12,
+               options),
+           {}, 0.0};
+    Rng rng(0x71C4);
+    const auto jittered = [&](std::uint64_t shape, core::DenseSample& out) {
+      t.fleet->layout().to_dense_guarded(sample_for_node(shape), out);
+      out.voltage *= 1.0 + 0.01 * rng.uniform();
+    };
+    std::vector<core::NodeSample> all(kNodes);
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      all[n].node = t.fleet->intern("node" + std::to_string(n));
+      jittered(n, all[n].sample);
+    }
+    t.fleet->ingest_batch(all);  // every node active before timing
+    t.batches.resize(4, std::vector<core::NodeSample>(kBatch));
+    for (std::vector<core::NodeSample>& batch : t.batches) {
+      for (core::NodeSample& ns : batch) {
+        ns.node = static_cast<core::NodeId>(rng.uniform_index(kNodes));
+        jittered(rng.uniform_index(1024), ns.sample);
+      }
+    }
+    return t;
+  }();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    tick.now += 1.0;
+    std::vector<core::NodeSample>& batch = tick.batches[next++ % tick.batches.size()];
+    for (core::NodeSample& ns : batch) {
+      ns.node = (ns.node + kShift) % kNodes;  // ids are dense in intern order
+      ns.now_s = tick.now;
+    }
+    tick.fleet->ingest_batch(batch);
+    const core::FleetSnapshot snap = tick.fleet->snapshot(tick.now);
+    benchmark::DoNotOptimize(snap.max_node_watts);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_FleetTick)->Unit(benchmark::kMillisecond);
 
 // Sparse fleets: a large interned namespace (every node ever provisioned)
 // with a small *active* set (nodes currently reporting). Snapshot cost must

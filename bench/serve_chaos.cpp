@@ -96,7 +96,7 @@ std::vector<std::string> write_corpus(const sim::Engine& engine,
         rc.duration_scale = 0.1;
         rc.seed = ++run_seed;
         const trace::Trace t =
-            trace::build_standard_trace(engine.run(*workload, rc), kGroup);
+            trace::build_standard_trace(engine.run(*workload, rc, kGroup), kGroup);
         paths.push_back(
             (dir / ("run" + std::to_string(paths.size()) + ".otf2l")).string());
         trace::write_trace_file(t, paths.back());

@@ -199,13 +199,17 @@ NodeId FleetEstimator::intern(std::string_view node) {
     std::lock_guard shard_lock(shard.mutex);
     const auto slot = static_cast<std::uint32_t>(shard.nodes.size());
     shard.nodes.emplace_back();
+    if (slot % kBlockSlots == 0) {
+      shard.block_min.push_back(std::numeric_limits<double>::infinity());
+      shard.block_max.push_back(-std::numeric_limits<double>::infinity());
+    }
     NodeState& state = shard.nodes.back();
     state.id = id;
     state.name = &names_[id];
     state.staleness_gauge = gauge;
     // Never-reported nodes stay off the seen list: they cost one counter in
-    // the shard aggregate, not a list entry, so snapshot/repair walks scale
-    // with the active set.
+    // the shard aggregate, not a list entry, so snapshot walks scale with
+    // the active set.
     store_loc(id, Loc{shard_index, slot});
     publish_aggregate(shard);
   }
@@ -284,31 +288,54 @@ void FleetEstimator::attach_seen_sorted(Shard& shard, std::uint32_t slot) {
   }
 }
 
-void FleetEstimator::repair_minmax(const Shard& shard) const {
-  // Walk the seen list (active nodes only): a never-reported node can hold
-  // no extremum, so repair cost scales with the active set, not the
-  // interned namespace.
-  shard.min_slot = shard.max_slot = kNil;
-  for (std::uint32_t slot = shard.seen_head; slot != kNil;
-       slot = shard.nodes[slot].seen_next) {
-    const NodeState& state = shard.nodes[slot];
-    if (state.guard.health == HealthState::Failed) {
-      continue;
+void FleetEstimator::update_extremes(Shard& shard, std::uint32_t slot,
+                                     bool was_included, double old_estimate) {
+  const NodeState& state = shard.nodes[slot];
+  const bool now_included = state.guard.health != HealthState::Failed;
+  const double estimate = state.last_estimate;
+  const std::uint32_t block = slot / kBlockSlots;
+  double& block_min = shard.block_min[block];
+  double& block_max = shard.block_max[block];
+  const double old_min = block_min;
+  const double old_max = block_max;
+  // By value, not by holder: a node at a block extreme leaves it only when
+  // it fails or moves inward, and only then is its one block rescanned (a
+  // tie left behind is found by the rescan). Otherwise extremes only extend.
+  const bool left_min = old_estimate == old_min &&
+                        (!now_included || estimate > old_estimate);
+  const bool left_max = old_estimate == old_max &&
+                        (!now_included || estimate < old_estimate);
+  if (was_included && (left_min || left_max)) {
+    block_min = std::numeric_limits<double>::infinity();
+    block_max = -std::numeric_limits<double>::infinity();
+    const std::size_t end = std::min<std::size_t>(
+        shard.nodes.size(), std::size_t{block + 1} * kBlockSlots);
+    for (std::size_t s = std::size_t{block} * kBlockSlots; s < end; ++s) {
+      const NodeState& node = shard.nodes[s];
+      if (node.last_seen_s >= 0.0 && node.guard.health != HealthState::Failed) {
+        block_min = std::min(block_min, node.last_estimate);
+        block_max = std::max(block_max, node.last_estimate);
+      }
     }
-    const double est = state.last_estimate;
-    if (shard.min_slot == kNil || est < shard.min_watts) {
-      shard.min_watts = est;
-      shard.min_slot = slot;
-    }
-    if (shard.max_slot == kNil || est > shard.max_watts) {
-      shard.max_watts = est;
-      shard.max_slot = slot;
-    }
+  } else if (now_included) {
+    block_min = std::min(block_min, estimate);
+    block_max = std::max(block_max, estimate);
   }
-  shard.minmax_stale = false;
+  // The shard extremes fold the block values; they refold every block only
+  // when the block holding a shard extreme moved inward.
+  if ((old_min == shard.min_watts && block_min > old_min) ||
+      (old_max == shard.max_watts && block_max < old_max)) {
+    shard.min_watts =
+        *std::min_element(shard.block_min.begin(), shard.block_min.end());
+    shard.max_watts =
+        *std::max_element(shard.block_max.begin(), shard.block_max.end());
+  } else {
+    shard.min_watts = std::min(shard.min_watts, block_min);
+    shard.max_watts = std::max(shard.max_watts, block_max);
+  }
 }
 
-void FleetEstimator::publish_aggregate(const Shard& shard) const {
+void FleetEstimator::publish_aggregate(Shard& shard) {
   // Seqlock write: always under the shard mutex, so writes never race each
   // other. Odd seq opens the window, payload stores are relaxed atomics
   // (no torn reads possible), even seq closes it.
@@ -328,14 +355,6 @@ void FleetEstimator::publish_aggregate(const Shard& shard) const {
   a.failed.store(shard.failed, std::memory_order_relaxed);
   a.active.store(shard.active, std::memory_order_relaxed);
   a.interned.store(shard.nodes.size(), std::memory_order_relaxed);
-  std::uint32_t flags = 0;
-  if (shard.min_slot != kNil) {
-    flags |= kMinMaxValid;
-  }
-  if (shard.minmax_stale) {
-    flags |= kMinMaxStale;
-  }
-  a.flags.store(flags, std::memory_order_relaxed);
   a.seq.store(seq + 2, std::memory_order_release);
 }
 
@@ -387,38 +406,8 @@ double FleetEstimator::ingest_locked_raw(Shard& shard, std::uint32_t slot,
     shard.failed += 1;
   }
 
-  // Min/max maintenance with cheap repair: extending updates are applied
-  // eagerly; an update that may have dethroned the current holder marks the
-  // shard for a lazy rescan on the next snapshot.
-  if (!shard.minmax_stale) {
-    if (was_included && !now_included) {
-      if (shard.included == 0) {
-        shard.min_slot = shard.max_slot = kNil;
-      } else if (slot == shard.min_slot || slot == shard.max_slot) {
-        shard.minmax_stale = true;
-      }
-    } else if (now_included) {
-      if (shard.min_slot == kNil) {
-        shard.min_watts = shard.max_watts = estimate;
-        shard.min_slot = shard.max_slot = slot;
-      } else {
-        if (estimate <= shard.min_watts) {
-          shard.min_watts = estimate;
-          shard.min_slot = slot;
-        } else if (slot == shard.min_slot) {
-          shard.minmax_stale = true;
-        }
-        if (estimate >= shard.max_watts) {
-          shard.max_watts = estimate;
-          shard.max_slot = slot;
-        } else if (slot == shard.max_slot) {
-          shard.minmax_stale = true;
-        }
-      }
-    }
-  }
-
   state.last_seen_s = now_s;
+  update_extremes(shard, slot, was_included, old_estimate);
   if (was_reported) {
     detach_seen(shard, slot);
   } else {
@@ -629,11 +618,6 @@ std::size_t FleetEstimator::ingest_batch(std::span<const NodeSample> samples) {
 
 ShardDeltaRecord FleetEstimator::shard_delta_locked(const Shard& shard,
                                                     double now_s) const {
-  if (shard.minmax_stale) {
-    repair_minmax(shard);
-    publish_aggregate(shard);
-  }
-
   // Stale prefix: the last-seen list is sorted and holds only active nodes,
   // so the stale-active set at `now_s` is exactly a prefix and the walk is
   // O(stale active), independent of the interned namespace.
@@ -659,8 +643,8 @@ ShardDeltaRecord FleetEstimator::shard_delta_locked(const Shard& shard,
       stale_degraded += 1;
     }
     stale_sum += state.last_estimate;
-    if (shard.min_slot != kNil && (state.last_estimate <= shard.min_watts ||
-                                   state.last_estimate >= shard.max_watts)) {
+    if (state.last_estimate <= shard.min_watts ||
+        state.last_estimate >= shard.max_watts) {
       extremum_stale = true;
     }
   }
@@ -706,8 +690,8 @@ ShardDeltaRecord FleetEstimator::shard_delta_locked(const Shard& shard,
 ShardDeltaRecord FleetEstimator::shard_delta(const Shard& shard,
                                              double now_s) const {
   // Lock-free fast path: a seqlock-consistent read of the published
-  // aggregate answers when every active node is fresh at `now_s` and no
-  // min/max repair is pending. A few failed attempts (concurrent ingest
+  // aggregate answers when every active node is fresh at `now_s`; its
+  // extremes are always exact. A few failed attempts (concurrent ingest
   // republishing) fall back to the mutex rather than spinning.
   const PublishedAggregate& a = shard.agg;
   for (int attempt = 0; attempt < 8; ++attempt) {
@@ -725,19 +709,15 @@ ShardDeltaRecord FleetEstimator::shard_delta(const Shard& shard,
     rec.failed = a.failed.load(std::memory_order_relaxed);
     rec.active = a.active.load(std::memory_order_relaxed);
     rec.interned = a.interned.load(std::memory_order_relaxed);
-    const std::uint32_t flags = a.flags.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (a.seq.load(std::memory_order_relaxed) != s1) {
       continue;  // torn by a concurrent publish: retry
-    }
-    if ((flags & kMinMaxStale) != 0) {
-      break;  // pending lazy repair: needs the mutex
     }
     if (rec.active > 0 && now_s - oldest > staleness_horizon_s_) {
       break;  // a stale active node: needs the prefix walk
     }
     rec.stale = rec.interned - rec.active;  // never-reported interned nodes
-    if (rec.reporting > 0 && (flags & kMinMaxValid) != 0) {
+    if (rec.reporting > 0) {
       rec.min_watts = min_watts;
       rec.max_watts = max_watts;
     } else {

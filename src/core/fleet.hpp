@@ -18,16 +18,20 @@
 //     same shard — the property that makes multi-process aggregation
 //     bit-identical to a single estimator (see fleet/delta.hpp).
 //   * Each shard keeps incremental running aggregates over the *active* set
-//     (nodes that ever reported): sum/reporting/degraded/failed, min/max
-//     holders with cheap lazy repair, and a last-seen-ordered intrusive
-//     list. Interned-but-never-reported nodes cost one counter, not a list
-//     entry, so aggregation scales with live nodes, not with the interned
-//     namespace (the sparse-directory idea Graphite uses for coherence).
+//     (nodes that ever reported): sum/reporting/degraded/failed, exact
+//     min/max, and a last-seen-ordered intrusive list. Interned-but-never-
+//     reported nodes cost one counter, not a list entry, so aggregation
+//     scales with live nodes, not with the interned namespace (the
+//     sparse-directory idea Graphite uses for coherence).
+//   * Extremes stay exact: each block of kBlockSlots slots keeps its min/max
+//     value and the shard folds the blocks. Ingest rescans one block only
+//     when a node at its extreme moves inward or fails, and refolds the
+//     blocks only when the block holding a shard extreme moved inward.
 //   * Every shard publishes its aggregate through a seqlock next to the
 //     mutex. snapshot()/shard_deltas() read S small published aggregates
 //     lock-free; a shard only falls back to its mutex when the published
-//     state cannot answer (a stale active node at `now_s`, a min/max holder
-//     pending lazy repair, or a torn read under concurrent ingest).
+//     state cannot answer (a stale active node at `now_s`, or a torn read
+//     under concurrent ingest).
 //   * ingest_batch() groups samples by shard and processes each shard's
 //     group under one lock acquisition; with FleetOptions::parallel_ingest
 //     the shard groups run under OpenMP. Samples of one node stay in batch
@@ -216,8 +220,8 @@ public:
   /// nodes_failed); DEGRADED nodes stay included but are counted.
   /// Implemented as a fold of shard_deltas(): a lock-free read of S
   /// published shard aggregates in the common case (every active node
-  /// fresh, no pending min/max repair), a per-shard mutex fallback
-  /// otherwise — never O(interned namespace).
+  /// fresh), a per-shard mutex fallback otherwise — never O(interned
+  /// namespace).
   FleetSnapshot snapshot(double now_s) const;
 
   /// The per-shard contributions snapshot() folds, in shard order. This is
@@ -284,10 +288,10 @@ private:
     std::atomic<std::uint64_t> failed{0};
     std::atomic<std::uint64_t> active{0};
     std::atomic<std::uint64_t> interned{0};
-    std::atomic<std::uint32_t> flags{0};  ///< kMinMaxValid | kMinMaxStale
   };
-  static constexpr std::uint32_t kMinMaxValid = 1u << 0;
-  static constexpr std::uint32_t kMinMaxStale = 1u << 1;
+
+  /// Slots per extremum block: a rescan touches one contiguous block.
+  static constexpr std::uint32_t kBlockSlots = 256;
 
   /// One shard: the states of its nodes (assigned by name hash), a
   /// last-seen-ordered intrusive list over *active* (ever-reported) nodes,
@@ -316,14 +320,13 @@ private:
     std::size_t degraded = 0;        ///< included && DEGRADED
     std::size_t failed = 0;          ///< reported && FAILED
     std::size_t active = 0;          ///< reported at least once
-    // Extremes over included nodes (valid when min_slot != kNil and
-    // !minmax_stale); mutable because snapshot() repairs them lazily.
-    mutable double min_watts = 0.0;
-    mutable double max_watts = 0.0;
-    mutable std::uint32_t min_slot = kNil;   ///< holder of min_watts
-    mutable std::uint32_t max_slot = kNil;   ///< holder of max_watts
-    mutable bool minmax_stale = false;       ///< lazily repaired on snapshot
-    mutable PublishedAggregate agg;          ///< seqlock-published copy
+    /// Exact extremes over included nodes (+inf/-inf when none), and the
+    /// same per block of kBlockSlots slots.
+    double min_watts = std::numeric_limits<double>::infinity();
+    double max_watts = -std::numeric_limits<double>::infinity();
+    std::vector<double> block_min;
+    std::vector<double> block_max;
+    PublishedAggregate agg;  ///< seqlock-published copy
   };
 
   /// Lock-free append-only NodeId -> (shard, slot) index: fixed chunk table
@@ -376,9 +379,12 @@ private:
   void update_staleness_gauges(double now_s) const;
   void detach_seen(Shard& shard, std::uint32_t slot);
   void attach_seen_sorted(Shard& shard, std::uint32_t slot);
-  void repair_minmax(const Shard& shard) const;
+  /// Keep block and shard extremes exact after the node at `slot` moved
+  /// from (was_included, old_estimate) to its current state (mutex held).
+  static void update_extremes(Shard& shard, std::uint32_t slot,
+                              bool was_included, double old_estimate);
   /// Re-publish the shard's aggregate through the seqlock (mutex held).
-  void publish_aggregate(const Shard& shard) const;
+  static void publish_aggregate(Shard& shard);
   /// One shard's delta: lock-free via the published aggregate when it can
   /// answer at `now_s`, per-shard-mutex walk otherwise.
   ShardDeltaRecord shard_delta(const Shard& shard, double now_s) const;

@@ -24,6 +24,7 @@
 #include "core/selection.hpp"
 #include "core/validate.hpp"
 #include "regress/ols.hpp"
+#include "stats/kfold.hpp"
 
 namespace pwx::core {
 namespace {
@@ -405,6 +406,62 @@ TEST(Validate, DeterministicForSeed) {
   const CvSummary a = k_fold_cross_validation(ds, exact_spec(), 10, 3);
   const CvSummary b = k_fold_cross_validation(ds, exact_spec(), 10, 3);
   EXPECT_DOUBLE_EQ(a.mean.mape, b.mean.mape);
+}
+
+TEST(Validate, KFoldMatchesNaiveRefitLoop) {
+  // Oracle: the same seeded folds, each training split refit independently
+  // with fit_ols on its own Eq. 1 design, each held-out row scored by hand.
+  const Dataset ds = exact_dataset(97, 3.0);
+  const FeatureSpec spec = exact_spec();
+  const std::size_t k = 10;
+  const std::uint64_t seed = 21;
+  const CvSummary cv = k_fold_cross_validation(ds, spec, k, seed);
+  const std::vector<stats::Fold> folds = stats::k_fold_splits(ds.size(), k, seed);
+  ASSERT_EQ(cv.folds.size(), folds.size());
+
+  const auto expect_close = [](const FoldMetrics& got, const FoldMetrics& want) {
+    EXPECT_NEAR(got.r_squared, want.r_squared, 1e-12 * std::abs(want.r_squared));
+    EXPECT_NEAR(got.adj_r_squared, want.adj_r_squared,
+                1e-12 * std::abs(want.adj_r_squared));
+    EXPECT_NEAR(got.mape, want.mape, 1e-12 * std::abs(want.mape));
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  FoldMetrics lo{inf, inf, inf};
+  FoldMetrics hi{-inf, -inf, -inf};
+  FoldMetrics sum;
+  for (std::size_t f = 0; f < folds.size(); ++f) {
+    const Dataset train = ds.select_rows(folds[f].train);
+    const Dataset held = ds.select_rows(folds[f].validate);
+    const regress::OlsResult fit =
+        regress::fit_ols(build_features(train, spec), train.power());
+    const la::Matrix x = build_features(held, spec);
+    double ape = 0.0;
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      double predicted = fit.beta[0];  // intercept
+      for (std::size_t j = 0; j < x.cols(); ++j) {
+        predicted += fit.beta[j + 1] * x(i, j);
+      }
+      const double actual = held.rows()[i].avg_power_watts;
+      ape += std::abs((actual - predicted) / actual);
+    }
+    const FoldMetrics want{fit.r_squared, fit.adj_r_squared,
+                           100.0 * ape / static_cast<double>(held.size())};
+    SCOPED_TRACE("fold " + std::to_string(f));
+    expect_close(cv.folds[f], want);
+    lo = {std::min(lo.r_squared, want.r_squared),
+          std::min(lo.adj_r_squared, want.adj_r_squared),
+          std::min(lo.mape, want.mape)};
+    hi = {std::max(hi.r_squared, want.r_squared),
+          std::max(hi.adj_r_squared, want.adj_r_squared),
+          std::max(hi.mape, want.mape)};
+    sum = {sum.r_squared + want.r_squared,
+           sum.adj_r_squared + want.adj_r_squared, sum.mape + want.mape};
+  }
+  const auto n = static_cast<double>(folds.size());
+  expect_close(cv.min, lo);
+  expect_close(cv.max, hi);
+  expect_close(cv.mean,
+               {sum.r_squared / n, sum.adj_r_squared / n, sum.mape / n});
 }
 
 // ---------------------------------------------------------------- scenarios

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -359,6 +360,164 @@ TEST(FleetSnapshotExtremes, ExtremesRecomputeWhenHolderGoesStale) {
   EXPECT_DOUBLE_EQ(snap.min_node_watts, std::min(b, c));
   EXPECT_NEAR(snap.total_watts, b + c, 1e-9);
   (void)a;
+}
+
+// Exact-extremes oracle: every shard delta's and every snapshot's min/max
+// must be bit-equal to a brute-force fold over the fresh, non-failed nodes.
+// The stream drives every path of the blocked extremum bookkeeping:
+//   * a five-value estimate pool, so ties are everywhere; its two outer
+//     values are rare, so an extreme often has one holder or a few tied ones;
+//   * holders of an outer value pushed inward over and over;
+//   * NaN streaks long enough to fail a node, then recovery;
+//   * interns mid-stream, so shards grow across block edges;
+//   * a short horizon, so active nodes go stale.
+// Shard deltas are checked too because a fleet extreme usually has holders
+// in several shards, which would hide a shard that lost its own. `batched`
+// feeds parallel ingest_batch instead of serial ingest calls.
+void check_extremes_under_churn(std::size_t shard_count, bool batched) {
+  FleetOptions options;
+  options.shard_count = shard_count;
+  options.parallel_ingest = batched;
+  const double horizon = 2.5;
+  FleetEstimator fleet(test_model(), /*smoothing=*/0.0, horizon, options);
+  const ModelLayout& layout = fleet.layout();
+
+  // Five samples ordered by estimate: index 0 is the low, 4 the high value.
+  Rng rng(0x5EED);
+  std::vector<DenseSample> pool;
+  while (pool.size() < 5) {
+    DenseSample dense = layout.make_sample();
+    layout.to_dense_guarded(random_sample(rng), dense);
+    const double estimate = layout.predict(dense);
+    if (estimate > 0.0 &&
+        std::none_of(pool.begin(), pool.end(), [&](const DenseSample& d) {
+          return layout.predict(d) == estimate;
+        })) {
+      pool.push_back(dense);
+    }
+  }
+  std::sort(pool.begin(), pool.end(), [&](const DenseSample& x, const DenseSample& y) {
+    return layout.predict(x) < layout.predict(y);
+  });
+  DenseSample nan_sample = pool[2];
+  nan_sample.counts[0] = std::numeric_limits<double>::quiet_NaN();
+
+  struct Node {
+    NodeId id = 0;
+    std::size_t shard = 0;
+    std::size_t value = 2;    ///< pool index of the node's last valid sample
+    int nan_left = 0;         ///< remaining samples of the current NaN streak
+    double last_seen = -1.0;
+  };
+  std::vector<Node> nodes;
+  const auto intern_more = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string name = "n" + std::to_string(nodes.size());
+      nodes.push_back({fleet.intern(name),
+                       FleetEstimator::name_hash(name) % shard_count});
+    }
+  };
+  intern_more(3000);
+
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  std::size_t stale_snapshots = 0;
+  std::size_t failed_snapshots = 0;
+  for (int round = 1; round <= 40; ++round) {
+    const auto now = static_cast<double>(round);
+    std::vector<NodeSample> samples;
+    for (Node& node : nodes) {
+      const int reports = rng.uniform() < 0.5 ? 0 : (rng.uniform() < 0.1 ? 2 : 1);
+      for (int r = 0; r < reports; ++r) {
+        if (node.nan_left == 0 && rng.uniform() < 0.01) {
+          node.nan_left = 8;  // guards fail a node after 5 invalid in a row
+        }
+        if (node.nan_left > 0) {
+          node.nan_left -= 1;
+          samples.push_back({node.id, now, nan_sample});
+        } else {
+          if ((node.value == 0 || node.value == 4) && rng.uniform() < 0.5) {
+            node.value = 1 + static_cast<std::size_t>(rng.uniform(0.0, 3.0));
+          } else if (rng.uniform() < 0.3) {
+            const double u = rng.uniform();
+            node.value = u < 0.002   ? 0
+                         : u > 0.998 ? 4
+                                     : 1 + static_cast<std::size_t>(rng.uniform(0.0, 3.0));
+          }
+          samples.push_back({node.id, now, pool[node.value]});
+        }
+        node.last_seen = now;
+      }
+    }
+    if (batched) {
+      fleet.ingest_batch(samples);
+    } else {
+      for (const NodeSample& ns : samples) {
+        fleet.ingest(ns.node, ns.sample, ns.now_s);
+      }
+    }
+    intern_more(80);  // never-reported nodes join mid-stream
+
+    for (const double at : {now, now + 1.75}) {
+      // Brute force per shard (indices 0..shard_count-1) and fleet-wide.
+      struct Fold {
+        std::size_t fresh = 0;
+        double lo = std::numeric_limits<double>::quiet_NaN();
+        double hi = std::numeric_limits<double>::quiet_NaN();
+        void add(double estimate) {
+          lo = fresh == 0 ? estimate : std::min(lo, estimate);
+          hi = fresh == 0 ? estimate : std::max(hi, estimate);
+          fresh += 1;
+        }
+      };
+      std::vector<Fold> want(shard_count + 1);
+      std::size_t stale_active = 0;
+      std::size_t failed = 0;
+      for (const Node& node : nodes) {
+        const std::optional<double> estimate = fleet.node_estimate(node.id);
+        if (!estimate.has_value()) {
+          continue;
+        }
+        if (at - node.last_seen > horizon) {
+          stale_active += 1;
+          continue;
+        }
+        if (fleet.node_health(node.id) == HealthState::Failed) {
+          failed += 1;
+          continue;
+        }
+        want[node.shard].add(*estimate);
+        want[shard_count].add(*estimate);
+      }
+      SCOPED_TRACE("round " + std::to_string(round) + " at " + std::to_string(at));
+      std::vector<ShardDeltaRecord> got;
+      fleet.shard_deltas(at, got);
+      ASSERT_EQ(got.size(), shard_count);
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        ASSERT_EQ(got[s].reporting, want[s].fresh) << "shard " << s;
+        ASSERT_EQ(bits(got[s].min_watts), bits(want[s].lo)) << "shard " << s;
+        ASSERT_EQ(bits(got[s].max_watts), bits(want[s].hi)) << "shard " << s;
+      }
+      const FleetSnapshot snap = fleet.snapshot(at);
+      ASSERT_EQ(snap.nodes_reporting, want[shard_count].fresh);
+      ASSERT_EQ(bits(snap.min_node_watts), bits(want[shard_count].lo));
+      ASSERT_EQ(bits(snap.max_node_watts), bits(want[shard_count].hi));
+      stale_snapshots += stale_active > 0 ? 1 : 0;
+      failed_snapshots += failed > 0 ? 1 : 0;
+    }
+  }
+  // The stream really drove the stale and failed paths.
+  EXPECT_GT(stale_snapshots, 10u);
+  EXPECT_GT(failed_snapshots, 10u);
+}
+
+TEST(FleetSnapshotExtremes, MatchBruteForceUnderChurn) {
+  for (const std::size_t shard_count : {1u, 16u}) {
+    for (const bool batched : {false, true}) {
+      SCOPED_TRACE("shards " + std::to_string(shard_count) +
+                   (batched ? " parallel ingest_batch" : " serial ingest"));
+      check_extremes_under_churn(shard_count, batched);
+    }
+  }
 }
 
 }  // namespace

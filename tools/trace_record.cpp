@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     }
 
     const sim::Engine engine = sim::Engine::haswell_ep();
-    const sim::RunResult run = engine.run(*workload, rc);
+    const sim::RunResult run = engine.run(*workload, rc, events);
     const trace::Trace t = trace::build_standard_trace(run, events);
     trace::write_trace_file(t, argv[2]);
     std::printf("wrote %s: %zu events, %.1f s wall time\n", argv[2],
